@@ -194,7 +194,10 @@ def _cmd_solve(args) -> int:
             sol = _solve_via_ordering(target, inst, verdict.ordering, stats)
     if sol is not None:
         problems = check_solution(inst, target, sol)
-        assert not problems, problems
+        if problems:
+            raise ValueError(
+                "solver returned an invalid solution: %s" % "; ".join(problems)
+            )
     payload, status = _solution_payload(sol, stats)
     _emit(payload)
     return status

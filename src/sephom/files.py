@@ -53,6 +53,7 @@ def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
     if n < 0:
         raise ParseError(lineno, tokens[1][1], "vertex count must be nonnegative")
     edges = []
+    seen = set()
     rest = []
     for lineno, tokens in lines[1:]:
         kind = tokens[0][0]
@@ -72,8 +73,9 @@ def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
         if u == v:
             raise ParseError(lineno, tokens[1][1], f"loop at vertex {u} not allowed")
         key = (min(u, v), max(u, v))
-        if any(key == (a, b) for a, b, _ in edges):
+        if key in seen:
             raise ParseError(lineno, tokens[1][1], f"duplicate edge {u}-{v}")
+        seen.add(key)
         edges.append((key[0], key[1], COLOUR_SYMBOLS[sym]))
     return SignedGraph(n, edges), rest
 

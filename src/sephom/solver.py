@@ -1,14 +1,16 @@
 """List-homomorphism solvers: arc consistency, the region/GF(2) algorithm
-for the small unbalanced cycle target, an ordered search solver, and the
-exhaustive oracle."""
+for the small unbalanced cycle target, and one propagate-and-search engine
+over (target vertex, switch bit) values behind both the ordered solver and
+the exhaustive oracle."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
-from .sgcore import BICOLOURED, RED, SignedGraph, Switching
+from .sgcore import BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits
 from . import targets
 from .ordering import Ordering, verify_min_ordering, verify_special
 
@@ -86,13 +88,6 @@ def gf2_solve(sys: Gf2System) -> Optional[Dict[Hashable, int]]:
     return {v: values[i] for v, i in idx.items()}
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _components(g: SignedGraph, vertices: Optional[Iterable[int]] = None) -> List[List[int]]:
     pool = set(range(g.n)) if vertices is None else set(vertices)
     comps: List[List[int]] = []
@@ -126,44 +121,51 @@ def _check_lists(inst: Instance, h: SignedGraph) -> None:
         raise ValueError("list value outside the target")
 
 
-class _AcNet:
-    """Per-edge support masks over target values, with trailed propagation."""
+# nbrs[w] lists (u, rows) for each neighbour u of w, rows[i] being the
+# support mask in w's domain of u's value i.
+_Nbrs = List[List[Tuple[int, List[int]]]]
 
-    def __init__(self, g: SignedGraph, h: SignedGraph):
-        self.nbrs: List[List[Tuple[int, List[int]]]] = [[] for _ in range(g.n)]
-        hadj, hbic = h.adj_mask, h.bic_mask
-        for u, v, c in g.edges:
-            sup = hbic if c is BICOLOURED else hadj
-            self.nbrs[u].append((v, sup))
-            self.nbrs[v].append((u, sup))
 
-    def run(
-        self,
-        masks: List[int],
-        seeds: Iterable[int],
-        trail: Optional[List[Tuple[int, int]]] = None,
-    ) -> bool:
-        queue = deque(seeds)
-        queued = set(queue)
-        while queue:
-            w = queue.popleft()
-            queued.discard(w)
-            for u, sup in self.nbrs[w]:
-                old = masks[u]
-                new = 0
-                for a in _bits(old):
-                    if sup[a] & masks[w]:
-                        new |= 1 << a
-                if new != old:
-                    if trail is not None:
-                        trail.append((u, old))
-                    masks[u] = new
-                    if new == 0:
-                        return False
-                    if u not in queued:
-                        queued.add(u)
-                        queue.append(u)
-        return True
+def _propagate(
+    nbrs: _Nbrs,
+    masks: List[int],
+    seeds: Iterable[int],
+    trail: List[Tuple[int, int]],
+) -> bool:
+    """Arc-consistency fixpoint from the seed vertices. Every change is
+    logged to trail as (vertex, old mask); False when a mask empties."""
+    queue = deque(seeds)
+    queued = set(queue)
+    while queue:
+        w = queue.popleft()
+        queued.discard(w)
+        mw = masks[w]
+        for u, rows in nbrs[w]:
+            old = masks[u]
+            new = 0
+            for i in _bits(old):
+                if rows[i] & mw:
+                    new |= 1 << i
+            if new != old:
+                trail.append((u, old))
+                masks[u] = new
+                if new == 0:
+                    return False
+                if u not in queued:
+                    queued.add(u)
+                    queue.append(u)
+    return True
+
+
+def _target_nbrs(g: SignedGraph, h: SignedGraph) -> _Nbrs:
+    """Supports over target vertices: a bicoloured edge needs a bicoloured
+    image, any other edge an edge."""
+    nbrs: _Nbrs = [[] for _ in range(g.n)]
+    for u, v, c in g.edges:
+        rows = h.bic_mask if c is BICOLOURED else h.adj_mask
+        nbrs[u].append((v, rows))
+        nbrs[v].append((u, rows))
+    return nbrs
 
 
 def arc_consistency(
@@ -175,120 +177,132 @@ def arc_consistency(
     masks = [_mask_of(l) for l in inst.lists]
     if 0 in masks:
         return None
-    if not _AcNet(inst.g, h).run(masks, range(inst.g.n)):
+    if not _propagate(_target_nbrs(inst.g, h), masks, range(inst.g.n), []):
         return None
     return tuple(frozenset(_bits(m)) for m in masks)
 
 
-class _ParityDsu:
-    """Union-find with edge parities and rollback, no path compression."""
+def _lifted_rows(
+    h: SignedGraph, vals_u: List[int], vals_w: List[int], c: EdgeColour
+) -> List[int]:
+    """Supports across an edge of colour c between lifted values: value
+    2k + p of a vertex is (its k-th list value, switch bit p)."""
+    rows = []
+    for a in vals_u:
+        even = odd = 0
+        for j, b in enumerate(vals_w):
+            col = h.colour(a, b)
+            if col is BICOLOURED:
+                even |= 3 << 2 * j
+                odd |= 3 << 2 * j
+            elif col is not None and c is not BICOLOURED:
+                flip = (c is RED) ^ (col is RED)
+                even |= 1 << 2 * j + flip
+                odd |= 1 << 2 * j + (flip ^ 1)
+        rows += (even, odd)
+    return rows
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.par = [0] * n
-        self.rank = [0] * n
 
-    def find(self, v: int) -> Tuple[int, int]:
-        p = 0
-        while self.parent[v] != v:
-            p ^= self.par[v]
-            v = self.parent[v]
-        return v, p
+def _search(
+    nbrs: _Nbrs, masks: List[int], comp: List[int]
+) -> Tuple[bool, int]:
+    """Depth-first search on an arc-consistent component until every mask is
+    a singleton: branch on the vertex with the fewest values left (ties to
+    the lower id), lowest value bit first, propagating after each choice.
+    Returns whether it succeeded and the number of failed choices."""
+    # Entries go stale as masks change and are skipped; each vertex with two
+    # or more values left has an entry for its current count, pushed when
+    # its mask last changed.
+    heap = [(masks[v].bit_count(), v) for v in comp if masks[v].bit_count() > 1]
+    heapify(heap)
+    trail: List[Tuple[int, int]] = []
+    # (vertex, values not yet tried, trail length before its choice)
+    stack: List[Tuple[int, int, int]] = []
+    backtracks = 0
+    while True:
+        while heap and masks[heap[0][1]].bit_count() != heap[0][0]:
+            heappop(heap)
+        if not heap:
+            return True, backtracks
+        v = heap[0][1]
+        stack.append((v, masks[v], len(trail)))
+        while True:
+            if not stack:
+                return False, backtracks
+            v, left, mark = stack.pop()
+            while len(trail) > mark:
+                u, old = trail.pop()
+                masks[u] = old
+                if old & (old - 1):
+                    heappush(heap, (old.bit_count(), u))
+            if not left:
+                if stack:
+                    backtracks += 1
+                continue
+            low = left & -left
+            stack.append((v, left ^ low, mark))
+            trail.append((v, masks[v]))
+            masks[v] = low
+            if _propagate(nbrs, masks, (v,), trail):
+                break
+            backtracks += 1
+        for i in range(mark + 1, len(trail)):
+            u = trail[i][0]
+            m = masks[u]
+            if m & (m - 1):
+                heappush(heap, (m.bit_count(), u))
 
-    def union(self, u: int, v: int, bit: int, trail: List[Tuple[int, int, int]]) -> bool:
-        ru, pu = self.find(u)
-        rv, pv = self.find(v)
-        if ru == rv:
-            return pu ^ pv == bit
-        if self.rank[ru] > self.rank[rv]:
-            ru, rv = rv, ru
-            pu, pv = pv, pu
-        trail.append((ru, rv, self.rank[rv]))
-        self.parent[ru] = rv
-        self.par[ru] = pu ^ pv ^ bit
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[rv] += 1
-        return True
 
-    def undo(self, trail: List[Tuple[int, int, int]]) -> None:
-        while trail:
-            child, root, old_rank = trail.pop()
-            self.parent[child] = child
-            self.par[child] = 0
-            self.rank[root] = old_rank
+def _solve_lifted(
+    inst: Instance,
+    h: SignedGraph,
+    key: Optional[Callable[[int], Tuple[int, int]]],
+    stats: Optional[dict],
+) -> Optional[Solution]:
+    """Search over lifted values (a, p): list value a, ordered by key, and
+    switch bit p, 0 first. An edge of colour c supports (a, p)-(b, q) when
+    h.colour(a, b) is bicoloured, or when c and h.colour(a, b) are both
+    unicoloured and p ^ q is 1 exactly when they differ."""
+    _check_lists(inst, h)
+    if stats is not None:
+        stats.setdefault("backtracks", 0)
+    g = inst.g
+    vals = [sorted(l, key=key) for l in inst.lists]
+    if not all(vals):
+        return None
+    lmask = [_mask_of(l) for l in inst.lists]
+    nbrs: _Nbrs = [[] for _ in range(g.n)]
+    # Edges whose ends have equal lists and equal colour share one table.
+    tables: Dict[Tuple[int, int, EdgeColour], List[int]] = {}
+    for u, w, c in g.edges:
+        for x, y in ((u, w), (w, u)):
+            k = (lmask[x], lmask[y], c)
+            if k not in tables:
+                tables[k] = _lifted_rows(h, vals[x], vals[y], c)
+            nbrs[y].append((x, tables[k]))
+    masks = [(1 << 2 * len(d)) - 1 for d in vals]
+    if not _propagate(nbrs, masks, range(g.n), []):
+        return None
+    for comp in _components(g):
+        found, backtracks = _search(nbrs, masks, comp)
+        if stats is not None:
+            stats["backtracks"] += backtracks
+        if not found:
+            return None
+    chosen = [m.bit_length() - 1 for m in masks]
+    return Solution(
+        mapping=tuple(vals[v][i >> 1] for v, i in enumerate(chosen)),
+        switching=Switching(v for v, i in enumerate(chosen) if i & 1),
+    )
 
 
 def solve_oracle(
     inst: Instance, h: SignedGraph, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Exact decision by backtracking over maps with arc-consistency pruning;
-    switching feasibility is tracked as incremental parity constraints, one
-    per edge whose image is unicoloured."""
-    _check_lists(inst, h)
-    if stats is not None:
-        stats.setdefault("backtracks", 0)
-    g = inst.g
-    masks = [_mask_of(l) for l in inst.lists]
-    if 0 in masks:
-        return None
-    net = _AcNet(g, h)
-    if not net.run(masks, range(g.n)):
-        return None
-    img = [-1] * g.n
-    dsu = _ParityDsu(g.n)
-
-    def search(todo: List[int]) -> bool:
-        if not todo:
-            return True
-        v = min(todo, key=lambda x: (bin(masks[x]).count("1"), x))
-        rest = [x for x in todo if x != v]
-        for a in _bits(masks[v]):
-            ok = True
-            pairs = []
-            for u in _bits(g.adj_mask[v]):
-                if img[u] < 0:
-                    continue
-                ic = h.colour(a, img[u])
-                c = g.colour(v, u)
-                if ic is None or (c is BICOLOURED and ic is not BICOLOURED):
-                    ok = False
-                    break
-                if c is not BICOLOURED and ic is not BICOLOURED:
-                    pairs.append((u, (c is RED) != (ic is RED)))
-            dsu_trail: List[Tuple[int, int, int]] = []
-            if ok:
-                for u, bit in pairs:
-                    if not dsu.union(v, u, bit, dsu_trail):
-                        ok = False
-                        break
-            ac_trail: List[Tuple[int, int]] = []
-            if ok:
-                old = masks[v]
-                if old != 1 << a:
-                    ac_trail.append((v, old))
-                    masks[v] = 1 << a
-                ok = net.run(masks, [v], ac_trail)
-            if ok:
-                img[v] = a
-                if search(rest):
-                    return True
-                img[v] = -1
-            for u, old in reversed(ac_trail):
-                masks[u] = old
-            dsu.undo(dsu_trail)
-            if stats is not None:
-                stats["backtracks"] += 1
-        return False
-
-    for comp in _components(g):
-        if not search(comp):
-            return None
-    bits = []
-    for v in range(g.n):
-        _, p = dsu.find(v)
-        if p:
-            bits.append(v)
-    return Solution(mapping=tuple(img), switching=Switching(bits))
+    """Exact decision for any target: search over (target vertex, switch
+    bit) values in vertex order, + bit first, with arc consistency on the
+    lifted supports after every choice, counting backtracks."""
+    return _solve_lifted(inst, h, None, stats)
 
 
 _H_WHITE = _mask_of((0, 2, 5))
@@ -303,7 +317,7 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     h = targets.build_h1()
     _check_lists(inst, h)
     g = inst.g
-    net = _AcNet(g, h)
+    nbrs = _target_nbrs(g, h)
     base = [_mask_of(l) for l in inst.lists]
     mapping = [-1] * g.n
     switch = [0] * g.n
@@ -320,7 +334,7 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
                 if masks[v] == 0:
                     ok = False
                     break
-            if not ok or not net.run(masks, comp):
+            if not ok or not _propagate(nbrs, masks, comp, []):
                 continue
             result = _solve_h1_component(g, comp, masks)
             if result is not None:
@@ -447,107 +461,16 @@ def _solve_h1_component(
 def solve_ordered(
     inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Exact search over (target vertex, switch bit) values, ordered by o
-    with the + bit first; arc consistency after every assignment and
-    chronological backtracking, counting backtracks."""
+    """Exact decision for a normalized target with a special min ordering
+    o: the oracle's search, trying list values in the order o ranks them,
+    counting backtracks."""
     if verify_min_ordering(h, o) is not None or verify_special(h, o) is not None:
         raise ValueError("ordering fails verification on the target")
     if any(c is RED for _, _, c in h.edges):
         raise ValueError("target not normalized: red unicoloured edge")
-    _check_lists(inst, h)
-    if stats is not None:
-        stats.setdefault("backtracks", 0)
-    g = inst.g
     rank = {a: i for i, a in enumerate(o.white_order)}
     rank.update({a: i for i, a in enumerate(o.black_order)})
-    doms: List[List[Tuple[int, int]]] = [
-        sorted(((a, p) for a in l for p in (0, 1)), key=lambda v: (rank[v[0]], v[1]))
-        for l in inst.lists
-    ]
-    masks = [(1 << len(d)) - 1 for d in doms]
-    if 0 in masks:
-        return None
-
-    sup: Dict[Tuple[int, int], List[int]] = {}
-    for u, v, c in g.edges:
-        for x, y in ((u, v), (v, u)):
-            rows = []
-            for a, p in doms[x]:
-                m = 0
-                for j, (b, q) in enumerate(doms[y]):
-                    col = h.colour(a, b)
-                    if col is None:
-                        continue
-                    if c is BICOLOURED:
-                        good = col is BICOLOURED
-                    else:
-                        good = col is BICOLOURED or (p ^ q) == (c is RED)
-                    if good:
-                        m |= 1 << j
-                rows.append(m)
-            sup[(x, y)] = rows
-
-    nbrs: List[List[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-
-    def propagate(seeds: List[int], trail: List[Tuple[int, int]]) -> bool:
-        queue = deque(seeds)
-        queued = set(queue)
-        while queue:
-            w = queue.popleft()
-            queued.discard(w)
-            for u in nbrs[w]:
-                rows = sup[(u, w)]
-                old = masks[u]
-                new = 0
-                for i in _bits(old):
-                    if rows[i] & masks[w]:
-                        new |= 1 << i
-                if new != old:
-                    trail.append((u, old))
-                    masks[u] = new
-                    if new == 0:
-                        return False
-                    if u not in queued:
-                        queued.add(u)
-                        queue.append(u)
-        return True
-
-    init: List[Tuple[int, int]] = []
-    if not propagate(list(range(g.n)), init):
-        return None
-
-    chosen = [-1] * g.n
-
-    def search(todo: List[int]) -> bool:
-        if not todo:
-            return True
-        v, rest = todo[0], todo[1:]
-        for i in _bits(masks[v]):
-            trail: List[Tuple[int, int]] = []
-            old = masks[v]
-            if old != 1 << i:
-                trail.append((v, old))
-                masks[v] = 1 << i
-            if propagate([v], trail):
-                chosen[v] = i
-                if search(rest):
-                    return True
-                chosen[v] = -1
-            for u, o_ in reversed(trail):
-                masks[u] = o_
-            if stats is not None:
-                stats["backtracks"] += 1
-        return False
-
-    for comp in _components(g):
-        if not search(comp):
-            return None
-    mapping = tuple(doms[v][chosen[v]][0] for v in range(g.n))
-    flips = [v for v in range(g.n) if doms[v][chosen[v]][1]]
-    return Solution(mapping=mapping, switching=Switching(flips))
+    return _solve_lifted(inst, h, lambda a: (rank[a], a), stats)
 
 
 def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .sgcore import BICOLOURED, SignedGraph, bipartition
+from .sgcore import BICOLOURED, SignedGraph, _bits, bipartition
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,6 @@ class InvertiblePair:
     b: int
     U: Tuple[int, ...]
     D: Tuple[int, ...]
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _uni_masks(g: SignedGraph) -> List[int]:

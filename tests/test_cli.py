@@ -131,6 +131,32 @@ def test_solve_auto_routes_relabeled_h1(tmp_path, capsys):
     assert check_solution(inst, target, sol) == []
 
 
+def test_solve_on_a_deep_path(tmp_path, capsys):
+    # A 5,000-vertex path is deeper than Python's default recursion limit.
+    n = 5_000
+    target = SignedGraph(2, [(0, 1, BLUE)])
+    inst = Instance(blue_path(n), [range(2)] * n)
+    t, i = target_file(tmp_path, target), instance_file(tmp_path, inst)
+    for alg in ("auto", "oracle"):
+        rc = run(["solve", t, i, "--alg", alg])
+        d = payload(capsys)
+        assert rc == 0
+        assert d["decision"] == "yes"
+
+
+def test_solve_reports_an_invalid_solution_as_an_error(tmp_path, capsys, monkeypatch):
+    target = blue_path(2)
+    inst = Instance(blue_path(2), [range(2)] * 2)
+    t, i = target_file(tmp_path, target), instance_file(tmp_path, inst)
+    bad = Solution(mapping=(0, 0), switching=Switching())
+    monkeypatch.setattr("sephom.cli.solve_oracle", lambda *args: bad)
+    rc = run(["solve", t, i, "--alg", "oracle"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: solver returned an invalid solution" in captured.err
+
+
 def test_solve_rejects_np_complete_targets_without_the_oracle(tmp_path, capsys):
     target = blue_path(6, [(0, 3), (2, 5)])
     inst = Instance(blue_path(2), [range(6)] * 2)

@@ -21,6 +21,7 @@ from sephom import (
     build_h0,
     build_h1,
     build_hl,
+    build_reduction_target,
 )
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
@@ -160,7 +161,7 @@ def test_solve_oracle_examples():
 @settings(max_examples=150, deadline=None)
 def test_solve_oracle_agrees_with_exhaustive_search(seed):
     rng = random.Random(seed)
-    h = rng.choice((build_h0(), build_h1(), build_hl(3)))
+    h = rng.choice((build_h0(), build_h1(), build_hl(3), build_reduction_target(5)))
     inst = random_instance(rng, rng.randint(1, 5), h)
     sol = solve_oracle(inst, h)
     brute = brute_lhom(inst, h)
@@ -229,8 +230,28 @@ def test_solve_ordered_agrees_with_the_oracle(seed):
     sol = solve_ordered(inst, h, o, stats=stats)
     other = solve_oracle(inst, h)
     assert (sol is None) == (other is None)
+    if inst.g.n <= 5:
+        assert (sol is None) == (brute_lhom(inst, h) is None)
     if sol is not None:
         assert check_solution(inst, h, sol) == []
+
+
+def test_deep_paths_solve_on_every_route():
+    # A 5,000-vertex path is deeper than Python's default recursion limit.
+    n = 5_000
+    edge = SignedGraph(2, [(0, 1, BLUE)])
+    inst = Instance(blue_path(n), full_lists(n, edge))
+    for sol in (
+        solve_oracle(inst, edge),
+        solve_ordered(inst, edge, Ordering((1,), (0,))),
+    ):
+        assert sol is not None
+        assert check_solution(inst, edge, sol) == []
+    h1 = build_h1()
+    inst = Instance(blue_path(n), full_lists(n, h1))
+    sol = solve_h1(inst)
+    assert sol is not None
+    assert check_solution(inst, h1, sol) == []
 
 
 def test_solve_ordered_can_backtrack_yet_stays_correct():
