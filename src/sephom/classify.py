@@ -42,6 +42,10 @@ def classify_path(g: SignedGraph) -> Verdict:
     p = separable.path_form(g)
     if p is None:
         raise ValueError("unicoloured edges do not form a spanning path")
+    return _classify_path(g, p)
+
+
+def _classify_path(g: SignedGraph, p: separable.PathForm) -> Verdict:
     form = separable.segmented_form(p)
     if form.kind != separable.NOT_SEGMENTED:
         return Verdict(
@@ -67,6 +71,10 @@ def classify_cycle(g: SignedGraph) -> Verdict:
     c = separable.cycle_form(g)
     if c is None:
         raise ValueError("unicoloured edges do not form a spanning cycle")
+    return _classify_cycle(g, c)
+
+
+def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
     n = g.n
     candidates = []
     if n == 4 and c.cycle_sign == "+":
@@ -94,10 +102,12 @@ def classify(g: SignedGraph) -> Verdict:
     """Full dichotomy dispatcher for separable targets."""
     if bipartition(g) is None:
         return Verdict(NP_COMPLETE, "NonBipartite")
-    if separable.path_form(g) is not None:
-        return classify_path(g)
-    if separable.cycle_form(g) is not None:
-        return classify_cycle(g)
+    p = separable.path_form(g)
+    if p is not None:
+        return _classify_path(g, p)
+    c = separable.cycle_form(g)
+    if c is not None:
+        return _classify_cycle(g, c)
     raise ValueError("unicoloured edges form neither a spanning path nor cycle")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .sgcore import BICOLOURED, SignedGraph
+from .sgcore import SignedGraph, _bits
 from . import separable
 from .separable import PathForm, SegmentedForm
 
@@ -35,45 +35,64 @@ def verify_min_ordering(
     g: SignedGraph, o: Ordering
 ) -> Optional[Tuple[int, int, int, int]]:
     """First (x, x', y, y') by vertex id with x < x' white, y < y' black,
-    xy' and x'y edges but xy a non-edge; absent when o is a min ordering."""
+    xy' and x'y edges but xy a non-edge; absent when o is a min ordering.
+
+    Each white vertex gets one row, its neighbours as bits by black rank.
+    For a white pair x < x' the violating y are the bits of
+    N(x') & ~N(x) below the last rank in N(x), so the scan costs O(|W|^2)
+    big-int operations, plus O(m) for the rows and O(|B|) to name the
+    reported tuple.
+    """
     _check_classes(g, o)
-    w, b = o.white_order, o.black_order
-    worst: Optional[Tuple[int, int, int, int]] = None
-    for i, x in enumerate(w):
-        for xp in w[i + 1 :]:
-            for j, y in enumerate(b):
-                for yp in b[j + 1 :]:
-                    if (
-                        g.adjacent(x, yp)
-                        and g.adjacent(xp, y)
-                        and not g.adjacent(x, y)
-                    ):
-                        cand = (x, xp, y, yp)
-                        if worst is None or cand < worst:
-                            worst = cand
-    return worst
+    black = o.black_order
+    rank_bit = {y: 1 << r for r, y in enumerate(black)}
+    row = {}
+    for x in o.white_order:
+        bits = 0
+        for y in _bits(g.adj_mask[x]):
+            bits |= rank_bit[y]
+        row[x] = bits
+    place = {x: i for i, x in enumerate(o.white_order)}
+    whites = sorted(o.white_order)
+    for x in whites:
+        nx = row[x]
+        if not nx:
+            continue
+        # Black ranks missing from N(x) with a neighbour of x ranked later.
+        gaps = ~nx & ((1 << (nx.bit_length() - 1)) - 1)
+        for xp in whites:
+            hit = row[xp] & gaps
+            if hit and place[xp] > place[x]:
+                y = min(black[r] for r in _bits(hit))
+                later = nx & -(rank_bit[y] << 1)
+                return (x, xp, y, min(black[r] for r in _bits(later)))
+    return None
 
 
 def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]]:
     """First (v, bicoloured nbr, unicoloured nbr) by vertex id where the
     bicoloured neighbour comes after the unicoloured one; absent when every
-    vertex lists all bicoloured neighbours first."""
+    vertex lists all bicoloured neighbours first.
+
+    A vertex violates exactly when some bicoloured neighbour comes after its
+    earliest unicoloured one, so the scan reads each edge O(1) times: O(m).
+    """
     _check_classes(g, o)
-    pos = {v: i for i, v in enumerate(o.white_order)}
-    pos.update({v: i for i, v in enumerate(o.black_order)})
-    worst: Optional[Tuple[int, int, int]] = None
+    pos = [0] * g.n
+    for order in (o.white_order, o.black_order):
+        for i, v in enumerate(order):
+            pos[v] = i
     for v in range(g.n):
-        for x in g.neighbours(v):
-            if g.colour(v, x) is not BICOLOURED:
-                continue
-            for y in g.neighbours(v):
-                if g.colour(v, y) is BICOLOURED:
-                    continue
-                if pos[x] > pos[y]:
-                    cand = (v, x, y)
-                    if worst is None or cand < worst:
-                        worst = cand
-    return worst
+        bic = g.bic_mask[v]
+        uni = g.adj_mask[v] ^ bic
+        if not bic or not uni:
+            continue
+        first_uni = min(pos[y] for y in _bits(uni))
+        for x in _bits(bic):
+            if pos[x] > first_uni:
+                y = next(y for y in _bits(uni) if pos[y] < pos[x])
+                return (v, x, y)
+    return None
 
 
 def _sources(p: PathForm) -> Tuple[Set[int], Set[int]]:

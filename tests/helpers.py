@@ -16,7 +16,9 @@ from sephom import (
     SignedGraph,
     Switching,
     apply_switching,
+    build_hl,
 )
+from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import Instance
 
 
@@ -138,6 +140,58 @@ def brute_chain_min_steps(g):
         frontier = fresh
         depth += 1
     return None
+
+
+def brute_min_ordering_violation(g, o):
+    """First (x, x', y, y') by vertex id breaking the min-ordering rule, by
+    scanning every quadruple x < x' white and y < y' black in o: xy' and
+    x'y edges with xy a non-edge. o must split the edges between its
+    classes."""
+    w, b = o.white_order, o.black_order
+    worst = None
+    for i, x in enumerate(w):
+        for xp in w[i + 1 :]:
+            for j, y in enumerate(b):
+                for yp in b[j + 1 :]:
+                    if (
+                        g.adjacent(x, yp)
+                        and g.adjacent(xp, y)
+                        and not g.adjacent(x, y)
+                    ):
+                        cand = (x, xp, y, yp)
+                        if worst is None or cand < worst:
+                            worst = cand
+    return worst
+
+
+def brute_special_violation(g, o):
+    """First (v, bicoloured nbr, unicoloured nbr) by vertex id with the
+    bicoloured neighbour placed after the unicoloured one, by comparing every
+    such pair of neighbours."""
+    pos = {v: i for i, v in enumerate(o.white_order)}
+    pos.update({v: i for i, v in enumerate(o.black_order)})
+    worst = None
+    for v in range(g.n):
+        for x in g.neighbours(v):
+            if g.colour(v, x) is not BICOLOURED:
+                continue
+            for y in g.neighbours(v):
+                if g.colour(v, y) is BICOLOURED:
+                    continue
+                if pos[x] > pos[y]:
+                    cand = (v, x, y)
+                    if worst is None or cand < worst:
+                        worst = cand
+    return worst
+
+
+def hl61_with_ends_swapped():
+    """Hl(61) and its recipe ordering with the first and last whites swapped,
+    which breaks both the min property and the bicoloured-first rule."""
+    o = ordering_for_cycle_target("Hl", 61)
+    w = list(o.white_order)
+    w[0], w[-1] = w[-1], w[0]
+    return build_hl(61), Ordering(o.black_order, tuple(w))
 
 
 def brute_gf2(variables, equations):

@@ -1,10 +1,20 @@
 """Min orderings with the bicoloured-first refinement, and the recipes."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    brute_min_ordering_violation,
+    brute_special_violation,
+    hl61_with_ends_swapped,
+)
 from sephom import (
     BICOLOURED,
     BLUE,
+    RED,
     SignedGraph,
     build_h0,
     build_h1,
@@ -140,3 +150,45 @@ def test_cycle_target_ordering_validation():
         ordering_for_cycle_target("Hl", 1)
     with pytest.raises(ValueError, match="unknown target kind"):
         ordering_for_cycle_target("H9")
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=400, deadline=None)
+def test_verifiers_match_the_brute_references(seed):
+    # Shuffled class orders make most draws violate, so the reported tuple,
+    # not only its absence, is compared.
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    side = [rng.randrange(2) for _ in range(n)]
+    p_edge = rng.choice((0.3, 0.6, 0.9))
+    edges = [
+        (u, v, rng.choice((BLUE, RED, BICOLOURED)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if side[u] != side[v] and rng.random() < p_edge
+    ]
+    g = SignedGraph(n, edges)
+    white = [v for v in range(n) if not side[v]]
+    black = [v for v in range(n) if side[v]]
+    rng.shuffle(white)
+    rng.shuffle(black)
+    o = Ordering(black_order=tuple(black), white_order=tuple(white))
+    assert verify_min_ordering(g, o) == brute_min_ordering_violation(g, o)
+    assert verify_special(g, o) == brute_special_violation(g, o)
+
+
+def test_large_template_ordering_passes_both_verifiers():
+    g = build_hl(61)
+    o = ordering_for_cycle_target("Hl", 61)
+    assert verify_min_ordering(g, o) is None
+    assert verify_special(g, o) is None
+
+
+def test_large_template_with_swapped_whites_matches_the_references():
+    g, bad = hl61_with_ends_swapped()
+    found = verify_min_ordering(g, bad)
+    assert found is not None
+    assert found == brute_min_ordering_violation(g, bad)
+    found = verify_special(g, bad)
+    assert found is not None
+    assert found == brute_special_violation(g, bad)

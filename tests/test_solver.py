@@ -10,6 +10,7 @@ from helpers import (
     brute_gf2,
     brute_lhom,
     brute_lhom_all,
+    hl61_with_ends_swapped,
     naive_arc_consistency,
     random_instance,
     solution_errors,
@@ -217,6 +218,14 @@ def test_solve_ordered_validates_its_inputs():
             red_target,
             Ordering((1,), (0,)),
         )
+
+
+def test_solve_ordered_rejects_a_broken_large_ordering():
+    h, bad = hl61_with_ends_swapped()
+    inst = Instance(blue_path(2), full_lists(2, h))
+    assert solve_ordered(inst, h, ordering_for_cycle_target("Hl", 61)) is not None
+    with pytest.raises(ValueError, match="ordering fails verification"):
+        solve_ordered(inst, h, bad)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
