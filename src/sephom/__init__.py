@@ -62,6 +62,7 @@ from .solver import (
     arc_consistency,
     check_solution,
     gf2_solve,
+    solve,
     solve_h1,
     solve_oracle,
     solve_ordered,

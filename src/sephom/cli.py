@@ -5,24 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
-from .sgcore import (
-    BICOLOURED,
-    BLUE,
-    RED,
-    SignedGraph,
-    Switching,
-    apply_switching,
-    is_semi_balanced,
-    switching_equivalent,
-)
-from . import targets
-from .classify import NP_COMPLETE, POLYNOMIAL, classify, verdict_dict
+from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching
+from .classify import POLYNOMIAL, classify, verdict_dict
 from .files import ParseError, parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
 from .hardness import build_reduction
-from .ordering import Ordering
-from .solver import Instance, Solution, check_solution, solve_h1, solve_oracle, solve_ordered
+from .solver import Solution, check_solution, solve
 from .witness import witness_dict
 
 
@@ -114,93 +103,20 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
-def _solution_payload(
-    sol: Optional[Solution], stats: dict
-) -> Tuple[dict, int]:
-    if sol is None:
-        return {
-            "decision": "no",
-            "map": None,
-            "switch": None,
-            "stats": {"backtracks": stats.get("backtracks", 0)},
-        }, 1
-    return {
-        "decision": "yes",
-        "map": list(sol.mapping),
-        "switch": sorted(sol.switching.flipped),
-        "stats": {"backtracks": stats.get("backtracks", 0)},
-    }, 0
-
-
-def _translate(
-    sol: Optional[Solution], phi: Sequence[int], s: Switching
-) -> Optional[Solution]:
-    if sol is None:
-        return None
-    inv = [0] * len(phi)
-    for v, image in enumerate(phi):
-        inv[image] = v
-    mapping = tuple(inv[a] for a in sol.mapping)
-    flips = [
-        v
-        for v in range(len(sol.mapping))
-        if (v in sol.switching.flipped) ^ (mapping[v] in s.flipped)
-    ]
-    return Solution(mapping=mapping, switching=Switching(flips))
-
-
-def _solve_via_h1(target: SignedGraph, inst: Instance, stats: dict) -> Optional[Solution]:
-    found = switching_equivalent(target, targets.build_h1())
-    if found is None:
-        raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
-    phi, s = found
-    stats.setdefault("backtracks", 0)
-    lifted = Instance(inst.g, [frozenset(phi[a] for a in l) for l in inst.lists])
-    return _translate(solve_h1(lifted), phi, s)
-
-
-def _solve_via_ordering(
-    target: SignedGraph, inst: Instance, o: Ordering, stats: dict
-) -> Optional[Solution]:
-    nu = is_semi_balanced(target)
-    if nu is None:
-        raise ValueError("target is not semi-balanced")
-    normalized = apply_switching(target, nu)
-    sol = solve_ordered(inst, normalized, o, stats)
-    return _translate(sol, tuple(range(target.n)), nu)
-
-
 def _cmd_solve(args) -> int:
     target = parse_graph(_read(args.target))
     inst = parse_instance(_read(args.instance), target.n)
     stats: dict = {}
-    if args.alg == "oracle":
-        sol = solve_oracle(inst, target, stats)
-    elif args.alg == "h1":
-        sol = _solve_via_h1(target, inst, stats)
-    else:
-        verdict = classify(target)
-        if verdict.complexity == NP_COMPLETE:
-            if args.alg == "ordered":
-                raise ValueError("target is NP-complete; no ordering exists")
-            raise ValueError(
-                "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
-            )
-        if args.alg == "auto" and verdict.reason == "MatchesH1":
-            sol = _solve_via_h1(target, inst, stats)
-        else:
-            if verdict.ordering is None or verdict.reason == "MatchesH1":
-                raise ValueError("no usable ordering for this target")
-            sol = _solve_via_ordering(target, inst, verdict.ordering, stats)
-    if sol is not None:
-        problems = check_solution(inst, target, sol)
-        if problems:
-            raise ValueError(
-                "solver returned an invalid solution: %s" % "; ".join(problems)
-            )
-    payload, status = _solution_payload(sol, stats)
-    _emit(payload)
-    return status
+    sol = solve(target, inst, args.alg, stats)
+    _emit(
+        {
+            "decision": "no" if sol is None else "yes",
+            "map": None if sol is None else list(sol.mapping),
+            "switch": None if sol is None else sorted(sol.switching.flipped),
+            "stats": {"backtracks": stats.get("backtracks", 0)},
+        }
+    )
+    return 1 if sol is None else 0
 
 
 def _cmd_classify(args) -> int:
@@ -298,9 +214,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _parser()
+
+
 def run(argv: Sequence[str]) -> int:
     try:
-        args = _parser().parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
     try:

@@ -8,10 +8,7 @@ from typing import List, Optional, Set, Tuple
 from .sgcore import SignedGraph, _bits
 from . import separable
 from .separable import PathForm, SegmentedForm
-
-H0 = "H0"
-H1 = "H1"
-HL = "Hl"
+from .targets import H0, H1, HL
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .sgcore import BICOLOURED, RED, SignedGraph, Switching
+from .sgcore import BICOLOURED, RED, SignedGraph, Switching, _switching
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -35,11 +35,6 @@ class CycleForm:
     order: Tuple[int, ...]
     cycle_sign: str
     bic: FrozenSet[Tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class Block:
-    start: int
 
 
 @dataclass(frozen=True)
@@ -74,13 +69,6 @@ def _uni_adjacency(g: SignedGraph) -> List[List[int]]:
             adj[u].append(v)
             adj[v].append(u)
     return adj
-
-
-def _path_normalizer(g: SignedGraph, order: Tuple[int, ...]) -> Switching:
-    bit = {order[0]: 0} if order else {}
-    for u, v in zip(order, order[1:]):
-        bit[v] = bit[u] ^ (g.colour(u, v) is RED)
-    return Switching(v for v, b in bit.items() if b)
 
 
 def _bic_positions(g: SignedGraph, order: Tuple[int, ...]) -> FrozenSet[Tuple[int, int]]:
@@ -118,7 +106,10 @@ def path_form(g: SignedGraph) -> Optional[PathForm]:
     if len(order) != g.n:
         return None
     order_t = tuple(order)
-    return PathForm(order_t, _path_normalizer(g, order_t), _bic_positions(g, order_t))
+    normalizer = _switching(
+        g, ((u, v, g.colour(u, v) is RED) for u, v in zip(order, order[1:])), order_t
+    )
+    return PathForm(order_t, normalizer, _bic_positions(g, order_t))
 
 
 def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
@@ -262,7 +253,6 @@ __all__ = [
     "NOT_SEGMENTED",
     "PathForm",
     "CycleForm",
-    "Block",
     "Segment",
     "SegmentedForm",
     "path_form",

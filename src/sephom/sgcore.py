@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class EdgeColour(Enum):
@@ -161,96 +161,88 @@ def walk_sign(g: SignedGraph, walk: Sequence[int], bic_signs: Sequence[str] = ()
     return "-" if bit else "+"
 
 
-def _uniform_switching(g: SignedGraph, target: EdgeColour) -> Optional[Switching]:
-    """Switching under which every unicoloured edge gets the target colour."""
-    assign = [-1] * g.n
-    uni_adj = [[] for _ in range(g.n)]
-    for u, v, c in g.edges:
-        if c.unicoloured:
-            uni_adj[u].append((v, c))
-            uni_adj[v].append((u, c))
-    for root in range(g.n):
-        if assign[root] >= 0:
+def _parity_lists(
+    n: int, edges: Iterable[Tuple[int, int, int]]
+) -> List[List[Tuple[int, int]]]:
+    """Per-vertex (neighbour, bit) lists from (u, v, bit) triples, in the
+    order the triples come."""
+    nbrs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, p in edges:
+        nbrs[u].append((v, p))
+        nbrs[v].append((u, p))
+    return nbrs
+
+
+def _parity_walk(
+    nbrs, roots: Iterable[int]
+) -> Optional[Tuple[Dict[int, int], List[List[int]]]]:
+    """Walk out from each root not yet reached, in order: the root gets bit
+    0, and across an entry (w, p) of nbrs[v] w gets bit[v] ^ p. Returns the
+    bits of the reached vertices and their components in root order, each
+    in visiting order; absent when some entry disagrees."""
+    bit: Dict[int, int] = {}
+    comps: List[List[int]] = []
+    for root in roots:
+        if root in bit:
             continue
-        assign[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, c in uni_adj[u]:
-                want = assign[u] ^ (c is not target)
-                if assign[v] < 0:
-                    assign[v] = want
-                    stack.append(v)
-                elif assign[v] != want:
+        bit[root] = 0
+        comp = [root]
+        for v in comp:
+            b = bit[v]
+            for w, p in nbrs[v]:
+                if w not in bit:
+                    bit[w] = b ^ p
+                    comp.append(w)
+                elif bit[w] != b ^ p:
                     return None
-    return Switching(v for v in range(g.n) if assign[v] == 1)
+        comps.append(comp)
+    return bit, comps
+
+
+def _switching(
+    g: SignedGraph, edges: Iterable[Tuple[int, int, int]], roots: Iterable[int]
+) -> Optional[Switching]:
+    """The vertices a parity walk over the (u, v, bit) triples sends to bit
+    1, as a switching; absent on a conflict. roots must reach every vertex."""
+    found = _parity_walk(_parity_lists(g.n, edges), roots)
+    if found is None:
+        return None
+    return Switching(v for v, b in found[0].items() if b)
 
 
 def is_balanced(g: SignedGraph) -> Optional[Switching]:
     """A switching making every edge blue, if one exists."""
     if any(c is BICOLOURED for _, _, c in g.edges):
         return None
-    return _uniform_switching(g, BLUE)
+    return is_semi_balanced(g)
 
 
 def is_anti_balanced(g: SignedGraph) -> Optional[Switching]:
     """A switching making every edge red, if one exists."""
     if any(c is BICOLOURED for _, _, c in g.edges):
         return None
-    return _uniform_switching(g, RED)
+    return _switching(g, ((u, v, c is BLUE) for u, v, c in g.edges), range(g.n))
 
 
 def is_semi_balanced(g: SignedGraph) -> Optional[Switching]:
     """A switching making every unicoloured edge blue, if one exists."""
-    return _uniform_switching(g, BLUE)
+    return _switching(
+        g, ((u, v, c is RED) for u, v, c in g.edges if c is not BICOLOURED), range(g.n)
+    )
 
 
 def bipartition(g: SignedGraph) -> Optional[Bipartition]:
     """A 2-colouring of the underlying graph; the least vertex of each
     component goes to the white side."""
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbours(u):
-                if side[v] < 0:
-                    side[v] = side[u] ^ 1
-                    stack.append(v)
-                elif side[v] == side[u]:
-                    return None
+    nbrs = _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges))
+    found = _parity_walk(nbrs, range(g.n))
+    if found is None:
+        return None
+    side = found[0]
     return Bipartition(
         black=frozenset(v for v in range(g.n) if side[v] == 1),
         white=frozenset(v for v in range(g.n) if side[v] == 0),
     )
-
-
-def _matching_switching(g: SignedGraph, h: SignedGraph) -> Optional[Switching]:
-    """Switching of g making it equal to h (same vertex ids, same structure)."""
-    assign = [-1] * g.n
-    uni = [[] for _ in range(g.n)]
-    for u, v, c in g.edges:
-        if c.unicoloured:
-            uni[u].append((v, c is not h.colour(u, v)))
-            uni[v].append((u, c is not h.colour(u, v)))
-    for root in range(g.n):
-        if assign[root] >= 0:
-            continue
-        assign[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, diff in uni[u]:
-                want = assign[u] ^ diff
-                if assign[v] < 0:
-                    assign[v] = want
-                    stack.append(v)
-                elif assign[v] != want:
-                    return None
-    return Switching(v for v in range(g.n) if assign[v] == 1)
 
 
 def switching_equivalent(
@@ -282,7 +274,11 @@ def switching_equivalent(
     def extend(v: int) -> Optional[Tuple[Tuple[int, ...], Switching]]:
         if v == n:
             mapped = relabel(g, phi)
-            s_img = _matching_switching(mapped, h)
+            s_img = _switching(
+                mapped,
+                ((u, v, c is not h.colour(u, v)) for u, v, c in mapped.edges if c is not BICOLOURED),
+                range(n),
+            )
             if s_img is None:
                 return None
             s = Switching(u for u in range(n) if phi[u] in s_img.flipped)

@@ -1,17 +1,21 @@
 """List-homomorphism solvers: arc consistency, the region/GF(2) algorithm
 for the small unbalanced cycle target, and one propagate-and-search engine
 over (target vertex, switch bit) values behind both the ordered solver and
-the exhaustive oracle."""
+the exhaustive oracle; solve picks the route for a target."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .sgcore import BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits
+from .sgcore import (
+    BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
+    apply_switching, is_semi_balanced, switching_equivalent,
+)
 from . import targets
+from .classify import NP_COMPLETE, classify
 from .ordering import Ordering, verify_min_ordering, verify_special
 
 
@@ -86,27 +90,6 @@ def gf2_solve(sys: Gf2System) -> Optional[Dict[Hashable, int]]:
             rest ^= low
         values[c] = acc
     return {v: values[i] for v, i in idx.items()}
-
-
-def _components(g: SignedGraph, vertices: Optional[Iterable[int]] = None) -> List[List[int]]:
-    pool = set(range(g.n)) if vertices is None else set(vertices)
-    comps: List[List[int]] = []
-    seen: set = set()
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in _bits(g.adj_mask[v]):
-                if w in pool and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _mask_of(values: Iterable[int]) -> int:
@@ -283,7 +266,10 @@ def _solve_lifted(
     masks = [(1 << 2 * len(d)) - 1 for d in vals]
     if not _propagate(nbrs, masks, range(g.n), []):
         return None
-    for comp in _components(g):
+    _, comps = _parity_walk(
+        _parity_lists(g.n, ((u, w, 0) for u, w, _ in g.edges)), range(g.n)
+    )
+    for comp in comps:
         found, backtracks = _search(nbrs, masks, comp)
         if stats is not None:
             stats["backtracks"] += backtracks
@@ -317,14 +303,19 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     h = targets.build_h1()
     _check_lists(inst, h)
     g = inst.g
+    found = _parity_walk(
+        _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges)), range(g.n)
+    )
+    if found is None:
+        return None
+    side, comps = found
     nbrs = _target_nbrs(g, h)
+    red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
     base = [_mask_of(l) for l in inst.lists]
     mapping = [-1] * g.n
     switch = [0] * g.n
-    for comp in _components(g):
-        side = _bipartition_of(g, comp)
-        if side is None:
-            return None
+    for comp in comps:
+        comp.sort()
         done = False
         for p0_mask, p1_mask in ((_H_BLACK, _H_WHITE), (_H_WHITE, _H_BLACK)):
             masks = list(base)
@@ -336,7 +327,7 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
                     break
             if not ok or not _propagate(nbrs, masks, comp, []):
                 continue
-            result = _solve_h1_component(g, comp, masks)
+            result = _solve_h1_component(red, comp, masks)
             if result is not None:
                 for v, a, p in result:
                     mapping[v] = a
@@ -350,28 +341,23 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     )
 
 
-def _bipartition_of(g: SignedGraph, comp: List[int]) -> Optional[Dict[int, int]]:
-    side: Dict[int, int] = {comp[0]: 0}
-    queue = deque([comp[0]])
-    while queue:
-        v = queue.popleft()
-        for w in _bits(g.adj_mask[v]):
-            if w not in side:
-                side[w] = side[v] ^ 1
-                queue.append(w)
-            elif side[w] == side[v]:
-                return None
-    return side
-
-
 def _solve_h1_component(
-    g: SignedGraph, comp: List[int], masks: List[int]
+    red: List[List[Tuple[int, int]]], comp: List[int], masks: List[int]
 ) -> Optional[List[Tuple[int, int, int]]]:
+    """comp in increasing order; red[v] lists v's neighbours in increasing
+    order, each with 1 for a red edge."""
     hw = {v: bool(masks[v] & _H_WHITE) for v in comp}
     boundary = [v for v in comp if masks[v] & 0b001001]
     ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
     interior = [v for v in comp if v not in ground]
-    regions = _components(g, interior)
+    # Regions are the components of the interior, sigma the red parity of
+    # each vertex from the least vertex of its region.
+    found = _parity_walk(
+        {v: [(w, p) for w, p in red[v] if w not in ground] for v in interior}, interior
+    )
+    if found is None:
+        return None
+    sigma, regions = found
 
     variables: List[Hashable] = [("s", a) for a in boundary]
     equations: List[Tuple[FrozenSet[Hashable], int]] = []
@@ -384,30 +370,17 @@ def _solve_h1_component(
         equations.append((frozenset(sym), bit))
 
     for ridx, region in enumerate(regions):
-        sigma = {region[0]: 0}
-        queue = deque([region[0]])
-        in_region = set(region)
-        while queue:
-            x = queue.popleft()
-            for y in _bits(g.adj_mask[x]):
-                if y not in in_region:
-                    continue
-                bit = sigma[x] ^ (g.colour(x, y) is RED)
-                if y not in sigma:
-                    sigma[y] = bit
-                    queue.append(y)
-                elif sigma[y] != bit:
-                    return None
+        region.sort()
         t_ok = all(masks[k] >> (2 if hw[k] else 1) & 1 for k in region)
         s_ok = all(masks[k] >> (5 if hw[k] else 4) & 1 for k in region)
         if not t_ok and not s_ok:
             return None
         first: Dict[int, Tuple[int, int]] = {}
         for k in region:
-            for a in _bits(g.adj_mask[k]):
+            for a, r in red[k]:
                 if a not in ground:
                     continue
-                a_e = (g.colour(a, k) is RED) ^ sigma[k]
+                a_e = r ^ sigma[k]
                 cls = 0 if ground[a] == 0 else 1
                 if cls not in first:
                     first[cls] = (a, a_e)
@@ -426,7 +399,7 @@ def _solve_h1_component(
             elif s_ok:
                 bit ^= 1
             add_eq(vs, bit)
-        records.append((region, sigma, t_ok, s_ok, free, first))
+        records.append((region, t_ok, s_ok, free, first))
 
     sol = gf2_solve(Gf2System(variables, equations))
     if sol is None:
@@ -434,7 +407,7 @@ def _solve_h1_component(
     out: List[Tuple[int, int, int]] = []
     for a in boundary:
         out.append((a, ground[a], sol[("s", a)]))
-    for ridx, (region, sigma, t_ok, s_ok, free, first) in enumerate(records):
+    for ridx, (region, t_ok, s_ok, free, first) in enumerate(records):
         if free:
             use_t = sol[("z", ridx)] == 0
         else:
@@ -506,6 +479,86 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
     return problems
 
 
+
+def _translate(
+    sol: Optional[Solution], phi: Sequence[int], s: Switching
+) -> Optional[Solution]:
+    """A solution against relabel(apply_switching(h, s), phi) as one against h."""
+    if sol is None:
+        return None
+    inv = [0] * len(phi)
+    for v, image in enumerate(phi):
+        inv[image] = v
+    mapping = tuple(inv[a] for a in sol.mapping)
+    flips = [
+        v
+        for v in range(len(sol.mapping))
+        if (v in sol.switching.flipped) ^ (mapping[v] in s.flipped)
+    ]
+    return Solution(mapping=mapping, switching=Switching(flips))
+
+
+def _solve_via_h1(
+    target: SignedGraph, inst: Instance, stats: Optional[dict]
+) -> Optional[Solution]:
+    found = switching_equivalent(target, targets.build_h1())
+    if found is None:
+        raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
+    phi, s = found
+    if stats is not None:
+        stats.setdefault("backtracks", 0)
+    lifted = Instance(inst.g, [frozenset(phi[a] for a in l) for l in inst.lists])
+    return _translate(solve_h1(lifted), phi, s)
+
+
+def _solve_via_ordering(
+    target: SignedGraph, inst: Instance, o: Ordering, stats: Optional[dict]
+) -> Optional[Solution]:
+    nu = is_semi_balanced(target)
+    if nu is None:
+        raise ValueError("target is not semi-balanced")
+    sol = solve_ordered(inst, apply_switching(target, nu), o, stats)
+    return _translate(sol, tuple(range(target.n)), nu)
+
+
+def solve(
+    target: SignedGraph, inst: Instance, alg: str = "auto", stats: Optional[dict] = None
+) -> Optional[Solution]:
+    """Decide inst against target by the route alg names: "oracle" for any
+    target, "h1" for one switching-equivalent to the 6-vertex unbalanced
+    cycle, "ordered" by the special min ordering of a polynomial target, or
+    "auto", which classifies the target and takes h1 when it matches that
+    cycle, else ordered. Raises ValueError when the route does not apply to
+    the target, or when a solution fails check_solution."""
+    if alg == "oracle":
+        sol = solve_oracle(inst, target, stats)
+    elif alg == "h1":
+        sol = _solve_via_h1(target, inst, stats)
+    elif alg in ("auto", "ordered"):
+        verdict = classify(target)
+        if verdict.complexity == NP_COMPLETE:
+            if alg == "ordered":
+                raise ValueError("target is NP-complete; no ordering exists")
+            raise ValueError(
+                "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
+            )
+        if alg == "auto" and verdict.reason == "MatchesH1":
+            sol = _solve_via_h1(target, inst, stats)
+        else:
+            if verdict.ordering is None or verdict.reason == "MatchesH1":
+                raise ValueError("no usable ordering for this target")
+            sol = _solve_via_ordering(target, inst, verdict.ordering, stats)
+    else:
+        raise ValueError("unknown alg %r" % alg)
+    if sol is not None:
+        problems = check_solution(inst, target, sol)
+        if problems:
+            raise ValueError(
+                "solver returned an invalid solution: %s" % "; ".join(problems)
+            )
+    return sol
+
+
 __all__ = [
     "Instance",
     "Solution",
@@ -516,4 +569,5 @@ __all__ = [
     "solve_h1",
     "solve_ordered",
     "check_solution",
+    "solve",
 ]

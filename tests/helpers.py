@@ -6,6 +6,7 @@ test sizes fast. The library must agree with these on every input tried.
 """
 
 import itertools
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from sephom import (
     BICOLOURED,
     BLUE,
     RED,
+    Bipartition,
     SignedGraph,
     Switching,
     apply_switching,
@@ -192,6 +194,113 @@ def hl61_with_ends_swapped():
     w = list(o.white_order)
     w[0], w[-1] = w[-1], w[0]
     return build_hl(61), Ordering(o.black_order, tuple(w))
+
+
+def ref_uniform_switching(g, target):
+    """Switching under which every unicoloured edge gets the target colour:
+    a depth-first parity walk from the least vertex of each component."""
+    assign = [-1] * g.n
+    uni_adj = [[] for _ in range(g.n)]
+    for u, v, c in g.edges:
+        if c.unicoloured:
+            uni_adj[u].append((v, c))
+            uni_adj[v].append((u, c))
+    for root in range(g.n):
+        if assign[root] >= 0:
+            continue
+        assign[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, c in uni_adj[u]:
+                want = assign[u] ^ (c is not target)
+                if assign[v] < 0:
+                    assign[v] = want
+                    stack.append(v)
+                elif assign[v] != want:
+                    return None
+    return Switching(v for v in range(g.n) if assign[v] == 1)
+
+
+def ref_matching_switching(g, h):
+    """Switching of g making it equal to h, which has the same vertex ids
+    and structure, by a depth-first parity walk."""
+    assign = [-1] * g.n
+    uni = [[] for _ in range(g.n)]
+    for u, v, c in g.edges:
+        if c.unicoloured:
+            uni[u].append((v, c is not h.colour(u, v)))
+            uni[v].append((u, c is not h.colour(u, v)))
+    for root in range(g.n):
+        if assign[root] >= 0:
+            continue
+        assign[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, diff in uni[u]:
+                want = assign[u] ^ diff
+                if assign[v] < 0:
+                    assign[v] = want
+                    stack.append(v)
+                elif assign[v] != want:
+                    return None
+    return Switching(v for v in range(g.n) if assign[v] == 1)
+
+
+def ref_bipartition(g):
+    """2-colouring with the least vertex of each component white, by a
+    depth-first walk; None when the underlying graph has an odd cycle."""
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbours(u):
+                if side[v] < 0:
+                    side[v] = side[u] ^ 1
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return None
+    return Bipartition(
+        black=frozenset(v for v in range(g.n) if side[v] == 1),
+        white=frozenset(v for v in range(g.n) if side[v] == 0),
+    )
+
+
+def ref_components(g, vertices=None):
+    """Components of the subgraph induced on vertices (all by default), each
+    sorted, ordered by least vertex; a breadth-first walk."""
+    pool = set(range(g.n)) if vertices is None else set(vertices)
+    comps = []
+    seen = set()
+    for start in sorted(pool):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbours(v):
+                if w in pool and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def ref_path_normalizer(g, order):
+    """Switching making the unicoloured path along order blue, with
+    order[0] unflipped."""
+    bit = {order[0]: 0} if order else {}
+    for u, v in zip(order, order[1:]):
+        bit[v] = bit[u] ^ (g.colour(u, v) is RED)
+    return Switching(v for v, b in bit.items() if b)
 
 
 def brute_gf2(variables, equations):

@@ -149,7 +149,7 @@ def test_solve_reports_an_invalid_solution_as_an_error(tmp_path, capsys, monkeyp
     inst = Instance(blue_path(2), [range(2)] * 2)
     t, i = target_file(tmp_path, target), instance_file(tmp_path, inst)
     bad = Solution(mapping=(0, 0), switching=Switching())
-    monkeypatch.setattr("sephom.cli.solve_oracle", lambda *args: bad)
+    monkeypatch.setattr("sephom.solver.solve_oracle", lambda *args: bad)
     rc = run(["solve", t, i, "--alg", "oracle"])
     captured = capsys.readouterr()
     assert rc == 2

@@ -56,6 +56,12 @@ def test_parse_graph_errors_carry_positions():
         parse_graph("sg x")
     with pytest.raises(ParseError, match="'e <u> <v> <c>'"):
         parse_graph("sg 2\ne 0 1")
+    with pytest.raises(ParseError, match="colour must be one of") as e:
+        parse_graph("sg 3\n\te  0\t\t1   ?  # not a colour: 5\n")
+    assert (e.value.line, e.value.col) == (2, 12)
+    with pytest.raises(ParseError, match="got '1'") as e:
+        parse_graph("sg 3  # three\ne\t1  1\t 1 # 1 1\n")
+    assert (e.value.line, e.value.col) == (2, 9)
 
 
 def test_instance_lists_default_to_the_full_target_set():

@@ -1,5 +1,7 @@
 """Signed graphs: construction, switching, balance notions, equivalence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,16 @@ from helpers import (
     brute_anti_balanced,
     brute_balanced,
     brute_semi_balanced,
+    random_bipartite_signed_graph,
+    random_path_target,
+    random_relabel,
+    random_signed_graph,
+    random_switching,
+    ref_bipartition,
+    ref_components,
+    ref_matching_switching,
+    ref_path_normalizer,
+    ref_uniform_switching,
     signed_graph_st,
 )
 from sephom import (
@@ -29,6 +41,8 @@ from sephom import (
     switching_equivalent,
     walk_sign,
 )
+from sephom.separable import path_form
+from sephom.sgcore import _parity_lists, _parity_walk
 
 
 def blue_cycle(n):
@@ -172,6 +186,42 @@ def test_bipartition_crosses_every_edge(g):
     if p is not None:
         for u, v, _ in g.edges:
             assert p.side(u) != p.side(v)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from((0.15, 0.3, 0.6)),
+    st.sampled_from((0.0, 0.25)),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_parity_walks_match_the_references(seed, n, p_edge, p_bic, bipartite, balanced):
+    # Each component's parities are fixed by its root, which is the least
+    # vertex (order[0] for a path), so the shared walk must reproduce the
+    # separate walks it replaced exactly.
+    rng = random.Random(seed)
+    maker = random_bipartite_signed_graph if bipartite else random_signed_graph
+    g = maker(rng, n, p_edge, p_bic, 0.0 if balanced else 0.25)
+    g = apply_switching(g, random_switching(rng, n))
+    plain = not g.bicoloured_edges()
+    assert is_semi_balanced(g) == ref_uniform_switching(g, BLUE)
+    assert is_balanced(g) == (ref_uniform_switching(g, BLUE) if plain else None)
+    assert is_anti_balanced(g) == (ref_uniform_switching(g, RED) if plain else None)
+    assert bipartition(g) == ref_bipartition(g)
+    _, comps = _parity_walk(_parity_lists(n, ((u, v, 0) for u, v, _ in g.edges)), range(n))
+    assert [sorted(c) for c in comps] == ref_components(g)
+    if n <= 7:
+        h, _ = random_relabel(rng, apply_switching(g, random_switching(rng, n)))
+        phi, t = switching_equivalent(g, h)
+        s_img = ref_matching_switching(relabel(g, phi), h)
+        assert t == Switching(u for u in range(n) if phi[u] in s_img.flipped)
+    path, _ = random_relabel(
+        rng, apply_switching(random_path_target(rng, n), random_switching(rng, n))
+    )
+    form = path_form(path)
+    assert form.normalizer == ref_path_normalizer(path, form.order)
 
 
 def test_walk_sign_examples():

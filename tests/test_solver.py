@@ -13,12 +13,16 @@ from helpers import (
     hl61_with_ends_swapped,
     naive_arc_consistency,
     random_instance,
+    random_relabel,
+    random_switching,
     solution_errors,
 )
 from sephom import (
+    BICOLOURED,
     BLUE,
     RED,
     SignedGraph,
+    apply_switching,
     build_h0,
     build_h1,
     build_hl,
@@ -31,6 +35,7 @@ from sephom.solver import (
     arc_consistency,
     check_solution,
     gf2_solve,
+    solve,
     solve_h1,
     solve_ordered,
     solve_oracle,
@@ -288,6 +293,62 @@ def test_solve_ordered_can_backtrack_yet_stays_correct():
     assert solve_ordered(inst, h, o, stats=stats) is None
     assert solve_oracle(inst, h) is None
     assert stats["backtracks"] == 2
+
+
+def right_segmented_path():
+    edges = [(i, i + 1, BLUE) for i in range(7)]
+    edges += [(i, j, BICOLOURED) for i, j in [(0, 3), (0, 5), (0, 7), (2, 5), (2, 7), (4, 7)]]
+    return SignedGraph(8, edges)
+
+
+def disguise(rng, g):
+    return random_relabel(rng, apply_switching(g, random_switching(rng, g.n)))[0]
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_solve_routes_agree_with_the_oracle(seed):
+    rng = random.Random(seed)
+    h1 = disguise(rng, build_h1())
+    hl = disguise(rng, build_hl(5))
+    path = disguise(rng, right_segmented_path())
+    hard = disguise(rng, build_reduction_target(5))
+    for target, alg in (
+        (hard, "oracle"),
+        (h1, "h1"),
+        (hl, "ordered"),
+        (path, "ordered"),
+        (h1, "auto"),
+        (hl, "auto"),
+        (path, "auto"),
+    ):
+        inst = random_instance(rng, rng.randint(1, 7), target, bipartite=rng.random() < 0.7)
+        stats = {}
+        sol = solve(target, inst, alg, stats)
+        assert (sol is None) == (solve_oracle(inst, target) is None)
+        assert stats["backtracks"] >= 0
+        if sol is not None:
+            assert check_solution(inst, target, sol) == []
+        if alg == "oracle":
+            assert sol == solve_oracle(inst, target)
+        if alg == "auto":
+            assert sol == solve(target, inst, "h1" if target is h1 else "ordered")
+
+
+def test_solve_rejects_targets_off_its_route():
+    hard = build_reduction_target(5)
+    inst = Instance(blue_path(2), full_lists(2, hard))
+    with pytest.raises(ValueError, match=r"NP-complete \(NoTemplateMatch\); rerun with --alg oracle"):
+        solve(hard, inst)
+    with pytest.raises(ValueError, match="NP-complete; no ordering exists"):
+        solve(hard, inst, "ordered")
+    assert solve(hard, inst, "oracle") is not None
+    hl = build_hl(3)
+    inst = Instance(blue_path(2), full_lists(2, hl))
+    with pytest.raises(ValueError, match="not equivalent to the 6-vertex unbalanced cycle"):
+        solve(hl, inst, "h1")
+    with pytest.raises(ValueError, match="unknown alg"):
+        solve(hl, inst, "fastest")
 
 
 def test_check_solution_reports_all_violation_kinds():

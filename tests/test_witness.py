@@ -221,3 +221,16 @@ def test_witness_dict_forms():
     assert witness_dict((0, 1, 2, 3, 4, 5, 6))["kind"] == "four_cycle_pair"
     with pytest.raises(ValueError, match="not a witness"):
         witness_dict(None)
+
+
+def test_four_cycle_patterns_never_occur_without_a_chain():
+    # classify falls back from find_chain to find_invertible_pair only; this
+    # is why the two 4-cycle finders need no place in that fallback.
+    seen = 0
+    for g in enum_targets("path", 9):
+        if find_alternating_4cycle(g) is None and find_4cycle_pair(g) is None:
+            continue
+        seen += 1
+        chain = find_chain(g)
+        assert chain is not None and verify_chain(g, chain)
+    assert seen > 0
