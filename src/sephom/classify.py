@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .sgcore import SignedGraph, bipartition, switching_equivalent
+from .sgcore import SignedGraph, bipartition
 from . import ordering as ordering_mod
 from . import separable
 from . import targets
@@ -24,7 +24,7 @@ class Verdict:
     ordering: Optional[Ordering] = None
 
 
-def _path_witness(g: SignedGraph):
+def _witness(g: SignedGraph):
     # find_chain is a complete search, and the alternating 4-cycle and
     # 4-cycle pair shapes both extend to chains, so their finders add nothing.
     chain = witness_mod.find_chain(g)
@@ -49,7 +49,7 @@ def _classify_path(g: SignedGraph, p: separable.PathForm) -> Verdict:
             "Segmented(%s)" % form.kind,
             ordering=ordering_mod.ordering_for_segmented(p, form),
         )
-    return Verdict(NP_COMPLETE, "NotSegmented", witness=_path_witness(g))
+    return Verdict(NP_COMPLETE, "NotSegmented", witness=_witness(g))
 
 
 def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
@@ -70,28 +70,62 @@ def classify_cycle(g: SignedGraph) -> Verdict:
     return _classify_cycle(g, c)
 
 
+def _chord_degrees(c: separable.CycleForm) -> List[int]:
+    deg = [0] * len(c.order)
+    for a, b in c.bic:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def _align(c: separable.CycleForm, t: separable.CycleForm) -> Optional[Tuple[int, ...]]:
+    """The least vertex bijection phi that maps the cycle of c onto the
+    cycle of t, by one of the 2n rotations and reflections, and the chords
+    of c onto those of t; absent when the sizes, signs or chords never
+    agree.
+
+    Switching fixes bicoloured edges and, on a spanning cycle, changes no
+    sign, so these are exactly the bijections switching_equivalent accepts,
+    and its search returns the least of them."""
+    n = len(c.order)
+    if (n, c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+        return None
+    deg = _chord_degrees(c)
+    rev = deg[::-1]
+    twice = _chord_degrees(t) * 2
+    chords = t.bic | {(b, a) for a, b in t.bic}
+    best = None
+    for s in range(n):
+        # Position i of c goes to position s + i, or s - i, of t (mod n).
+        for step, seq, at in ((1, deg, s), (-1, rev, s + 1)):
+            if twice[at : at + n] != seq:
+                continue
+            img = [(s + step * i) % n for i in range(n)]
+            if all((img[a], img[b]) in chords for a, b in c.bic):
+                phi = [0] * n
+                for i, v in enumerate(c.order):
+                    phi[v] = t.order[img[i]]
+                if best is None or tuple(phi) < best:
+                    best = tuple(phi)
+    return best
+
+
 def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
     n = g.n
     candidates = []
     if n == 4 and c.cycle_sign == "+":
-        candidates.append((targets.build_h0(), "MatchesH0", ordering_mod.H0, None))
+        candidates.append((targets.H0, "MatchesH0", None))
     if n == 6 and c.cycle_sign == "-":
-        candidates.append((targets.build_h1(), "MatchesH1", ordering_mod.H1, None))
+        candidates.append((targets.H1, "MatchesH1", None))
     if n >= 6 and n % 2 == 0 and c.cycle_sign == "+":
-        ell = n - 3
-        candidates.append(
-            (targets.build_hl(ell), "MatchesHl(%d)" % ell, ordering_mod.HL, ell)
-        )
-    for target, reason, kind, ell in candidates:
-        found = switching_equivalent(g, target)
-        if found is None:
+        candidates.append((targets.HL, "MatchesHl(%d)" % (n - 3), n - 3))
+    for kind, reason, ell in candidates:
+        phi = _align(c, targets.template_cycle_form(kind, ell))
+        if phi is None:
             continue
-        phi, _ = found
         o = ordering_mod.ordering_for_cycle_target(kind, ell)
         return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi))
-    return Verdict(
-        NP_COMPLETE, "NoTemplateMatch", witness=witness_mod.find_chain(g)
-    )
+    return Verdict(NP_COMPLETE, "NoTemplateMatch", witness=_witness(g))
 
 
 def classify(g: SignedGraph) -> Verdict:

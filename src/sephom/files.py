@@ -16,65 +16,74 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _tokenize(text: str) -> List[Tuple[int, List[Tuple[str, int]]]]:
-    """Split into lines of (token, 1-based column); '#' starts a comment."""
+def _tokenize(text: str) -> List[Tuple[int, str, List[str]]]:
+    """The lines that hold tokens, as (1-based line number, the line up to
+    any '#', its tokens)."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         hash_at = raw.find("#")
         if hash_at >= 0:
             raw = raw[:hash_at]
-        tokens = []
-        col = 0
-        for tok in raw.split():
-            col = raw.index(tok, col)
-            tokens.append((tok, col + 1))
-            col += len(tok)
+        tokens = raw.split()
         if tokens:
-            out.append((lineno, tokens))
+            out.append((lineno, raw, tokens))
     return out
 
 
-def _int_token(lineno: int, tok: str, col: int, what: str) -> int:
+def _error(line: Tuple[int, str, List[str]], k: int, message: str) -> ParseError:
+    """A ParseError at token k of a tokenized line. Columns are only needed
+    here, so they are found here: each token is searched for after the end
+    of the one before it."""
+    lineno, raw, tokens = line
+    col = 0
+    for tok in tokens[:k]:
+        col = raw.index(tok, col) + len(tok)
+    return ParseError(lineno, raw.index(tokens[k], col) + 1, message)
+
+
+def _int_token(line: Tuple[int, str, List[str]], k: int, what: str) -> int:
+    tok = line[2][k]
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(lineno, col, f"expected {what}, got {tok!r}") from None
+        raise _error(line, k, f"expected {what}, got {tok!r}") from None
 
 
 def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
     if not lines:
         raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
-    lineno, tokens = lines[0]
-    if tokens[0][0] != "sg":
-        raise ParseError(lineno, tokens[0][1], "expected 'sg <n>' header")
-    if len(tokens) != 2:
-        raise ParseError(lineno, tokens[0][1], "header takes exactly one count")
-    n = _int_token(lineno, tokens[1][0], tokens[1][1], "a vertex count")
+    head = lines[0]
+    if head[2][0] != "sg":
+        raise _error(head, 0, "expected 'sg <n>' header")
+    if len(head[2]) != 2:
+        raise _error(head, 0, "header takes exactly one count")
+    n = _int_token(head, 1, "a vertex count")
     if n < 0:
-        raise ParseError(lineno, tokens[1][1], "vertex count must be nonnegative")
+        raise _error(head, 1, "vertex count must be nonnegative")
     edges = []
     seen = set()
     rest = []
-    for lineno, tokens in lines[1:]:
-        kind = tokens[0][0]
-        if kind != "e":
-            rest.append((lineno, tokens))
+    for line in lines[1:]:
+        tokens = line[2]
+        if tokens[0] != "e":
+            rest.append(line)
             continue
         if len(tokens) != 4:
-            raise ParseError(lineno, tokens[0][1], "edge lines are 'e <u> <v> <c>'")
-        u = _int_token(lineno, tokens[1][0], tokens[1][1], "a vertex id")
-        v = _int_token(lineno, tokens[2][0], tokens[2][1], "a vertex id")
-        sym, col = tokens[3]
+            raise _error(line, 0, "edge lines are 'e <u> <v> <c>'")
+        u = _int_token(line, 1, "a vertex id")
+        v = _int_token(line, 2, "a vertex id")
+        sym = tokens[3]
         if sym not in COLOUR_SYMBOLS:
-            raise ParseError(lineno, col, f"edge colour must be one of + - *, got {sym!r}")
-        for w, c in ((u, tokens[1][1]), (v, tokens[2][1])):
-            if not 0 <= w < n:
-                raise ParseError(lineno, c, f"vertex id {w} out of range 0..{n - 1}")
+            raise _error(line, 3, f"edge colour must be one of + - *, got {sym!r}")
+        if not 0 <= u < n:
+            raise _error(line, 1, f"vertex id {u} out of range 0..{n - 1}")
+        if not 0 <= v < n:
+            raise _error(line, 2, f"vertex id {v} out of range 0..{n - 1}")
         if u == v:
-            raise ParseError(lineno, tokens[1][1], f"loop at vertex {u} not allowed")
-        key = (min(u, v), max(u, v))
+            raise _error(line, 1, f"loop at vertex {u} not allowed")
+        key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise ParseError(lineno, tokens[1][1], f"duplicate edge {u}-{v}")
+            raise _error(line, 1, f"duplicate edge {u}-{v}")
         seen.add(key)
         edges.append((key[0], key[1], COLOUR_SYMBOLS[sym]))
     return SignedGraph(n, edges), rest
@@ -83,8 +92,7 @@ def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
 def parse_graph(text: str) -> SignedGraph:
     g, rest = _parse_graph_lines(_tokenize(text))
     if rest:
-        lineno, tokens = rest[0]
-        raise ParseError(lineno, tokens[0][1], f"unexpected directive {tokens[0][0]!r}")
+        raise _error(rest[0], 0, f"unexpected directive {rest[0][2][0]!r}")
     return g
 
 
@@ -103,21 +111,22 @@ def parse_instance(text: str, target_n: int):
 
     g, rest = _parse_graph_lines(_tokenize(text))
     lists: List[Optional[frozenset]] = [None] * g.n
-    for lineno, tokens in rest:
-        if tokens[0][0] != "l":
-            raise ParseError(lineno, tokens[0][1], f"unexpected directive {tokens[0][0]!r}")
+    for line in rest:
+        tokens = line[2]
+        if tokens[0] != "l":
+            raise _error(line, 0, f"unexpected directive {tokens[0]!r}")
         if len(tokens) < 2:
-            raise ParseError(lineno, tokens[0][1], "list lines are 'l <v> <t1> <t2> ...'")
-        v = _int_token(lineno, tokens[1][0], tokens[1][1], "a vertex id")
+            raise _error(line, 0, "list lines are 'l <v> <t1> <t2> ...'")
+        v = _int_token(line, 1, "a vertex id")
         if not 0 <= v < g.n:
-            raise ParseError(lineno, tokens[1][1], f"vertex id {v} out of range 0..{g.n - 1}")
+            raise _error(line, 1, f"vertex id {v} out of range 0..{g.n - 1}")
         if lists[v] is not None:
-            raise ParseError(lineno, tokens[1][1], f"duplicate list for vertex {v}")
+            raise _error(line, 1, f"duplicate list for vertex {v}")
         values = []
-        for tok, col in tokens[2:]:
-            t = _int_token(lineno, tok, col, "a target vertex id")
+        for k in range(2, len(tokens)):
+            t = _int_token(line, k, "a target vertex id")
             if not 0 <= t < target_n:
-                raise ParseError(lineno, col, f"target id {t} out of range 0..{target_n - 1}")
+                raise _error(line, k, f"target id {t} out of range 0..{target_n - 1}")
             values.append(t)
         lists[v] = frozenset(values)
     full = frozenset(range(target_n))
@@ -136,24 +145,25 @@ def parse_quadcsp(text: str):
 
     names: List[str] = []
     quads = []
-    for lineno, tokens in _tokenize(text):
-        kind, col = tokens[0]
+    for line in _tokenize(text):
+        tokens = line[2]
+        kind = tokens[0]
         if kind == "v":
             if len(tokens) != 2:
-                raise ParseError(lineno, col, "variable lines are 'v <name>'")
-            name = tokens[1][0]
+                raise _error(line, 0, "variable lines are 'v <name>'")
+            name = tokens[1]
             if name in names:
-                raise ParseError(lineno, tokens[1][1], f"duplicate variable {name!r}")
+                raise _error(line, 1, f"duplicate variable {name!r}")
             names.append(name)
         elif kind == "q":
             if len(tokens) != 5:
-                raise ParseError(lineno, col, "quadruple lines are 'q <a> <b> <c> <d>'")
-            for tok, tcol in tokens[1:]:
-                if tok not in names:
-                    raise ParseError(lineno, tcol, f"undeclared variable {tok!r}")
-            quads.append(tuple(tok for tok, _ in tokens[1:]))
+                raise _error(line, 0, "quadruple lines are 'q <a> <b> <c> <d>'")
+            for k in range(1, 5):
+                if tokens[k] not in names:
+                    raise _error(line, k, f"undeclared variable {tokens[k]!r}")
+            quads.append(tuple(tokens[1:]))
         else:
-            raise ParseError(lineno, col, f"unexpected directive {kind!r}")
+            raise _error(line, 0, f"unexpected directive {kind!r}")
     return QuadCsp(tuple(names), tuple(quads))
 
 

@@ -75,7 +75,8 @@ def _check_ell(ell: int) -> None:
 
 def build_gadget(ell: int) -> Gadget:
     """Gadget with edge signs solved over GF(2) from the six path-sign
-    constraints, then re-verified by walk signs."""
+    constraints, then re-verified by walk signs; ValueError when either
+    step fails."""
     _check_ell(ell)
     b_at, d_at = 3, ell - 3
     variables: List = [("e", i) for i in range(1, ell + 1)] + ["fb", "fd"]
@@ -92,7 +93,8 @@ def build_gadget(ell: int) -> Gadget:
         (["fb"] + span(min(b_at, d_at), max(b_at, d_at)) + ["fd"], 1),
     ]
     sol = gf2_solve(Gf2System(variables, equations))
-    assert sol is not None
+    if sol is None:
+        raise ValueError("the gadget's path-sign system has no solution")
     edges = [
         (i - 1, i, RED if sol[("e", i)] else BLUE) for i in range(1, ell + 1)
     ]
@@ -113,7 +115,8 @@ def build_gadget(ell: int) -> Gadget:
         ([ell + 1] + spine(b_at, d_at) + [ell + 2], "-"),
     ]
     for walk, want in checks:
-        assert walk_sign(graph, walk) == want
+        if walk_sign(graph, walk) != want:
+            raise ValueError("gadget walk %s has the wrong sign" % walk)
 
     lists: List[FrozenSet[int]] = []
     for i in range(ell + 1):

@@ -3,11 +3,15 @@
 All four builders lay the unicoloured spanning cycle out the same way:
 vertices 0..l on the long path (0 and l are the endpoints shared with the
 short path), then l+1 and l+2 on the short path, giving the cycle
-0, 1, ..., l, l+2, l+1, 0.
+0, 1, ..., l, l+2, l+1, 0. H1 is the case l = 3 and H0 the bare cycle
+0, 1, 2, 3, 0.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from .separable import CycleForm
 from .sgcore import BICOLOURED, BLUE, RED, SignedGraph
 
 H0 = "H0"
@@ -22,6 +26,27 @@ def template_pairs(ell: int):
         for i in range(0, ell + 1, 2)
         for j in range(i + 3, ell + 1, 2)
     ]
+
+
+def _check_hl(ell: int) -> None:
+    if ell < 3 or ell % 2 == 0:
+        raise ValueError("template parameter must be odd and at least 3")
+
+
+def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
+    """cycle_form of build_h0(), build_h1() or build_hl(ell), read off the
+    layout above without building the graph."""
+    if kind == H0:
+        return CycleForm((0, 1, 2, 3), "+", frozenset())
+    if kind == H1:
+        ell, sign = 3, "-"
+    elif kind == HL:
+        _check_hl(ell)
+        sign = "+"
+    else:
+        raise ValueError("unknown target kind %r" % kind)
+    order = tuple(range(ell + 1)) + (ell + 2, ell + 1)
+    return CycleForm(order, sign, frozenset(template_pairs(ell)))
 
 
 def _cycle_edges(ell: int, long_colour, short_colours):
@@ -50,8 +75,7 @@ def build_h1() -> SignedGraph:
 
 def build_hl(ell: int) -> SignedGraph:
     """The balanced template target: all edges blue, bicoloured template pairs."""
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("template parameter must be odd and at least 3")
+    _check_hl(ell)
     edges = _cycle_edges(ell, BLUE, (BLUE, BLUE, BLUE))
     edges.extend((i, j, BICOLOURED) for i, j in template_pairs(ell))
     return SignedGraph(ell + 3, edges)
@@ -72,6 +96,7 @@ __all__ = [
     "H1",
     "HL",
     "template_pairs",
+    "template_cycle_form",
     "build_h0",
     "build_h1",
     "build_hl",

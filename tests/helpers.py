@@ -20,6 +20,8 @@ from sephom import (
     apply_switching,
     build_hl,
 )
+from sephom.files import COLOUR_SYMBOLS, ParseError
+from sephom.hardness import QuadCsp
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import Instance
 
@@ -301,6 +303,129 @@ def ref_path_normalizer(g, order):
     for u, v in zip(order, order[1:]):
         bit[v] = bit[u] ^ (g.colour(u, v) is RED)
     return Switching(v for v, b in bit.items() if b)
+
+
+def ref_tokenize(text):
+    """Lines of (token, 1-based column), each column found as it is read;
+    '#' starts a comment."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        hash_at = raw.find("#")
+        if hash_at >= 0:
+            raw = raw[:hash_at]
+        tokens = []
+        col = 0
+        for tok in raw.split():
+            col = raw.index(tok, col)
+            tokens.append((tok, col + 1))
+            col += len(tok)
+        if tokens:
+            out.append((lineno, tokens))
+    return out
+
+
+def _ref_int(lineno, tok, col, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, col, f"expected {what}, got {tok!r}") from None
+
+
+def _ref_graph_lines(lines):
+    if not lines:
+        raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
+    lineno, tokens = lines[0]
+    if tokens[0][0] != "sg":
+        raise ParseError(lineno, tokens[0][1], "expected 'sg <n>' header")
+    if len(tokens) != 2:
+        raise ParseError(lineno, tokens[0][1], "header takes exactly one count")
+    n = _ref_int(lineno, tokens[1][0], tokens[1][1], "a vertex count")
+    if n < 0:
+        raise ParseError(lineno, tokens[1][1], "vertex count must be nonnegative")
+    edges = []
+    seen = set()
+    rest = []
+    for lineno, tokens in lines[1:]:
+        if tokens[0][0] != "e":
+            rest.append((lineno, tokens))
+            continue
+        if len(tokens) != 4:
+            raise ParseError(lineno, tokens[0][1], "edge lines are 'e <u> <v> <c>'")
+        u = _ref_int(lineno, tokens[1][0], tokens[1][1], "a vertex id")
+        v = _ref_int(lineno, tokens[2][0], tokens[2][1], "a vertex id")
+        sym, col = tokens[3]
+        if sym not in COLOUR_SYMBOLS:
+            raise ParseError(lineno, col, f"edge colour must be one of + - *, got {sym!r}")
+        for w, c in ((u, tokens[1][1]), (v, tokens[2][1])):
+            if not 0 <= w < n:
+                raise ParseError(lineno, c, f"vertex id {w} out of range 0..{n - 1}")
+        if u == v:
+            raise ParseError(lineno, tokens[1][1], f"loop at vertex {u} not allowed")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(lineno, tokens[1][1], f"duplicate edge {u}-{v}")
+        seen.add(key)
+        edges.append((key[0], key[1], COLOUR_SYMBOLS[sym]))
+    return SignedGraph(n, edges), rest
+
+
+def ref_parse_graph(text):
+    """parse_graph over ref_tokenize."""
+    g, rest = _ref_graph_lines(ref_tokenize(text))
+    if rest:
+        lineno, tokens = rest[0]
+        raise ParseError(lineno, tokens[0][1], f"unexpected directive {tokens[0][0]!r}")
+    return g
+
+
+def ref_parse_instance(text, target_n):
+    """parse_instance over ref_tokenize."""
+    g, rest = _ref_graph_lines(ref_tokenize(text))
+    lists = [None] * g.n
+    for lineno, tokens in rest:
+        if tokens[0][0] != "l":
+            raise ParseError(lineno, tokens[0][1], f"unexpected directive {tokens[0][0]!r}")
+        if len(tokens) < 2:
+            raise ParseError(lineno, tokens[0][1], "list lines are 'l <v> <t1> <t2> ...'")
+        v = _ref_int(lineno, tokens[1][0], tokens[1][1], "a vertex id")
+        if not 0 <= v < g.n:
+            raise ParseError(lineno, tokens[1][1], f"vertex id {v} out of range 0..{g.n - 1}")
+        if lists[v] is not None:
+            raise ParseError(lineno, tokens[1][1], f"duplicate list for vertex {v}")
+        values = []
+        for tok, col in tokens[2:]:
+            t = _ref_int(lineno, tok, col, "a target vertex id")
+            if not 0 <= t < target_n:
+                raise ParseError(lineno, col, f"target id {t} out of range 0..{target_n - 1}")
+            values.append(t)
+        lists[v] = frozenset(values)
+    full = frozenset(range(target_n))
+    return Instance(g, tuple(full if l is None else l for l in lists))
+
+
+def ref_parse_quadcsp(text):
+    """parse_quadcsp over ref_tokenize."""
+    names = []
+    quads = []
+    for lineno, tokens in ref_tokenize(text):
+        kind, col = tokens[0]
+        if kind == "v":
+            if len(tokens) != 2:
+                raise ParseError(lineno, col, "variable lines are 'v <name>'")
+            name = tokens[1][0]
+            if name in names:
+                raise ParseError(lineno, tokens[1][1], f"duplicate variable {name!r}")
+            names.append(name)
+        elif kind == "q":
+            if len(tokens) != 5:
+                raise ParseError(lineno, col, "quadruple lines are 'q <a> <b> <c> <d>'")
+            for tok, tcol in tokens[1:]:
+                if tok not in names:
+                    raise ParseError(lineno, tcol, f"undeclared variable {tok!r}")
+            quads.append(tuple(tok for tok, _ in tokens[1:]))
+        else:
+            raise ParseError(lineno, col, f"unexpected directive {kind!r}")
+    return QuadCsp(tuple(names), tuple(quads))
 
 
 def brute_gf2(variables, equations):

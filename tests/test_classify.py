@@ -20,12 +20,14 @@ from sephom import (
     classify,
     enum_targets,
     relabel,
+    switching_equivalent,
     verdict_dict,
 )
 from sephom.classify import NP_COMPLETE, POLYNOMIAL
-from sephom.ordering import verify_min_ordering, verify_special
-from sephom.separable import NOT_SEGMENTED, path_form, segmented_form
-from sephom.witness import Chain, verify_chain
+from sephom.ordering import ordering_for_cycle_target, verify_min_ordering, verify_special
+from sephom.separable import NOT_SEGMENTED, cycle_form, path_form, segmented_form
+from sephom.targets import H0, H1, HL, template_cycle_form
+from sephom.witness import Chain, InvertiblePair, verify_chain, verify_invertible_pair
 
 
 def blue_path(n, bic=()):
@@ -163,3 +165,62 @@ def test_verdict_invariant_under_switching_and_relabeling(seed):
     if w.complexity == POLYNOMIAL and w.reason.startswith("Segmented"):
         assert verify_min_ordering(shuffled, w.ordering) is None
         assert verify_special(shuffled, w.ordering) is None
+
+
+def test_template_cycle_forms_match_the_built_graphs():
+    assert template_cycle_form(H0) == cycle_form(build_h0())
+    assert template_cycle_form(H1) == cycle_form(build_h1())
+    for ell in range(3, 62, 2):
+        assert template_cycle_form(HL, ell) == cycle_form(build_hl(ell))
+    for bad in (1, 4):
+        with pytest.raises(ValueError):
+            template_cycle_form(HL, bad)
+
+
+def _template_phi(verdict, kind, ell):
+    """The vertex map behind a Matches* verdict: its ordering is the
+    template's recipe ordering with each template vertex renamed by phi."""
+    recipe = ordering_for_cycle_target(kind, ell)
+    phi = dict(zip(verdict.ordering.white_order, recipe.white_order))
+    phi.update(zip(verdict.ordering.black_order, recipe.black_order))
+    return tuple(phi[v] for v in range(len(phi)))
+
+
+@given(
+    st.sampled_from([(H0, None), (H1, None)] + [(HL, ell) for ell in range(3, 16, 2)]),
+    st.integers(min_value=0, max_value=10**9),
+)
+@settings(max_examples=200, deadline=None)
+def test_template_matches_pick_the_least_equivalence(template, seed):
+    kind, ell = template
+    h = {H0: build_h0, H1: build_h1}[kind]() if ell is None else build_hl(ell)
+    rng = random.Random(seed)
+    g, _ = random_relabel(rng, apply_switching(h, random_switching(rng, h.n)))
+    v = classify(g)
+    assert v.complexity == POLYNOMIAL
+    assert v.reason == {H0: "MatchesH0", H1: "MatchesH1"}.get(kind, "MatchesHl(%s)" % ell)
+    assert _template_phi(v, kind, ell) == switching_equivalent(g, h)[0]
+
+
+def test_cycle_verdicts_carry_verified_witnesses():
+    """Every NP-complete cycle verdict with n <= 10 carries a witness that
+    its checker accepts, except on three targets: the unbalanced 4-cycle and
+    the targets switching-equivalent to the reduction targets for 5 and 7."""
+    bare = []
+    for g in enum_targets("cycle", 10):
+        v = classify(g)
+        if v.complexity != NP_COMPLETE:
+            continue
+        if isinstance(v.witness, Chain):
+            assert verify_chain(g, v.witness)
+        elif isinstance(v.witness, InvertiblePair):
+            assert verify_invertible_pair(g, v.witness)
+        else:
+            assert v.witness is None
+            bare.append(g)
+    assert len(bare) == 3
+    unbalanced_c4 = SignedGraph(4, [(0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)])
+    for g, h in zip(
+        bare, (unbalanced_c4, build_reduction_target(5), build_reduction_target(7))
+    ):
+        assert switching_equivalent(g, h) is not None

@@ -235,6 +235,17 @@ def test_gadget_verb(tmp_path, capsys):
     assert inst.g.n == 16
 
 
+def test_gadget_self_checks_exit_2(tmp_path, capsys, monkeypatch):
+    csp_path = write(tmp_path, "csp.txt", "v p\nv q\nq p q p q\n")
+    monkeypatch.setattr("sephom.hardness.gf2_solve", lambda system: None)
+    assert run(["gadget", csp_path, "--ell", "5"]) == 2
+    assert "no solution" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr("sephom.hardness.walk_sign", lambda g, walk: "?")
+    assert run(["gadget", csp_path, "--ell", "5"]) == 2
+    assert "wrong sign" in capsys.readouterr().err
+
+
 def test_enum_verb(tmp_path, capsys):
     rc = run(["enum", "--type", "path", "--max-n", "5"])
     lines = capsys.readouterr().out.strip().splitlines()

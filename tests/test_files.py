@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import signed_graph_st
+from helpers import ref_parse_graph, ref_parse_instance, ref_parse_quadcsp, signed_graph_st
 from sephom import build_h1, build_hl
 from sephom.files import (
     ParseError,
@@ -114,3 +115,43 @@ def test_serialize_graph_is_canonical():
     a = serialize_graph(build_hl(5))
     b = serialize_graph(parse_graph(a))
     assert a == b
+
+
+# Tokens for texts that are mostly near-valid in each of the three formats,
+# with the whitespace str.split() knows (tabs, vertical tab, form feed) and
+# the line breaks str.splitlines() knows.
+_WORDS = ("sg", "e", "l", "v", "q", "z", "0", "1", "2", "3", "-1", "10", "x", "+1", "1_0", "+", "-", "*", "?")
+_GAPS = (" ", "  ", "\t", "\x0b", "\x0c")
+_BREAKS = ("\n", "\r\n", "\r")
+
+_line_st = st.tuples(
+    st.lists(st.tuples(st.sampled_from(_GAPS + ("",)), st.sampled_from(_WORDS)), max_size=6),
+    st.sampled_from(_GAPS + ("",)),
+    st.one_of(st.just(""), st.sampled_from(_WORDS).map(lambda w: "# " + w)),
+).map(lambda t: "".join(gap + word for gap, word in t[0]) + t[1] + t[2])
+
+
+@st.composite
+def _text_st(draw):
+    lines = draw(st.lists(_line_st, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, "sg %d" % draw(st.integers(min_value=0, max_value=4)))
+    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+def _outcome(parse, *args):
+    try:
+        found = parse(*args)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    if hasattr(found, "lists"):
+        return ("ok", found.g, found.lists)
+    return ("ok", found)
+
+
+@given(_text_st())
+@settings(max_examples=400, deadline=None)
+def test_parsers_match_the_column_tracking_references(text):
+    assert _outcome(parse_graph, text) == _outcome(ref_parse_graph, text)
+    assert _outcome(parse_instance, text, 3) == _outcome(ref_parse_instance, text, 3)
+    assert _outcome(parse_quadcsp, text) == _outcome(ref_parse_quadcsp, text)
