@@ -41,8 +41,6 @@ from .separable import (
 from .witness import (
     Chain,
     InvertiblePair,
-    find_4cycle_pair,
-    find_alternating_4cycle,
     find_chain,
     find_invertible_pair,
     verify_chain,

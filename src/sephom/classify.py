@@ -26,7 +26,7 @@ class Verdict:
 
 def _witness(g: SignedGraph):
     # find_chain is a complete search, and the alternating 4-cycle and
-    # 4-cycle pair shapes both extend to chains, so their finders add nothing.
+    # 4-cycle pair shapes both extend to chains, so they need no finder.
     chain = witness_mod.find_chain(g)
     if chain is not None:
         return chain

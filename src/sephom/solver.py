@@ -1,7 +1,8 @@
-"""List-homomorphism solvers: arc consistency, the region/GF(2) algorithm
-for the small unbalanced cycle target, and one propagate-and-search engine
-over (target vertex, switch bit) values behind both the ordered solver and
-the exhaustive oracle; solve picks the route for a target."""
+"""List-homomorphism solvers: arc consistency; one loop over instance
+components and side assignments behind the ordered solver (least value by
+rank, then a balance walk) and the region/GF(2) algorithm for the small
+unbalanced cycle target; a propagate-and-search oracle over (target vertex,
+switch bit) values for any target; solve picks the route for a target."""
 
 from __future__ import annotations
 
@@ -236,21 +237,20 @@ def _search(
                 heappush(heap, (m.bit_count(), u))
 
 
-def _solve_lifted(
-    inst: Instance,
-    h: SignedGraph,
-    key: Optional[Callable[[int], Tuple[int, int]]],
-    stats: Optional[dict],
+def solve_oracle(
+    inst: Instance, h: SignedGraph, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Search over lifted values (a, p): list value a, ordered by key, and
-    switch bit p, 0 first. An edge of colour c supports (a, p)-(b, q) when
-    h.colour(a, b) is bicoloured, or when c and h.colour(a, b) are both
-    unicoloured and p ^ q is 1 exactly when they differ."""
+    """Exact decision for any target: search over lifted values (a, p), list
+    value a in vertex order and switch bit p, 0 (+) first, with arc
+    consistency on the lifted supports after every choice, counting
+    backtracks. An edge of colour c supports (a, p)-(b, q) when h.colour(a,
+    b) is bicoloured, or when c and h.colour(a, b) are both unicoloured and
+    p ^ q is 1 exactly when they differ."""
     _check_lists(inst, h)
     if stats is not None:
         stats.setdefault("backtracks", 0)
     g = inst.g
-    vals = [sorted(l, key=key) for l in inst.lists]
+    vals = [sorted(l) for l in inst.lists]
     if not all(vals):
         return None
     lmask = [_mask_of(l) for l in inst.lists]
@@ -282,13 +282,50 @@ def _solve_lifted(
     )
 
 
-def solve_oracle(
-    inst: Instance, h: SignedGraph, stats: Optional[dict] = None
+_Finish = Callable[[List[int], List[int]], Optional[List[Tuple[int, int, int]]]]
+
+
+def _by_sides(
+    inst: Instance, h: SignedGraph, white: int, black: int, finish: _Finish
 ) -> Optional[Solution]:
-    """Exact decision for any target: search over (target vertex, switch
-    bit) values in vertex order, + bit first, with arc consistency on the
-    lifted supports after every choice, counting backtracks."""
-    return _solve_lifted(inst, h, None, stats)
+    """Solve inst against a bipartite target whose classes are the vertex
+    masks white and black, one instance component at a time. Each side
+    assignment of a component (its least vertex on black, then on white)
+    restricts the lists to the classes and runs arc consistency; finish
+    then gets the component, in increasing order, and the masks, and
+    returns (vertex, image, switch bit) triples or None. Absent when inst
+    is not bipartite or a component fails on both sides."""
+    _check_lists(inst, h)
+    g = inst.g
+    found = _parity_walk(
+        _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges)), range(g.n)
+    )
+    if found is None:
+        return None
+    side, comps = found
+    nbrs = _target_nbrs(g, h)
+    base = [_mask_of(l) for l in inst.lists]
+    # One masks list for all components: a try resets only its own entries.
+    masks = list(base)
+    mapping = [-1] * g.n
+    switch = [0] * g.n
+    for comp in comps:
+        comp.sort()
+        for classes in ((black, white), (white, black)):
+            for v in comp:
+                masks[v] = base[v] & classes[side[v]]
+            if all(masks[v] for v in comp) and _propagate(nbrs, masks, comp, []):
+                result = finish(comp, masks)
+                if result is not None:
+                    break
+        else:
+            return None
+        for v, a, p in result:
+            mapping[v] = a
+            switch[v] = p
+    return Solution(
+        mapping=tuple(mapping), switching=Switching(v for v in range(g.n) if switch[v])
+    )
 
 
 _H_WHITE = _mask_of((0, 2, 5))
@@ -300,44 +337,14 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one GF(2) system per component tying region choices to boundary
     switchings."""
-    h = targets.build_h1()
-    _check_lists(inst, h)
     g = inst.g
-    found = _parity_walk(
-        _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges)), range(g.n)
-    )
-    if found is None:
-        return None
-    side, comps = found
-    nbrs = _target_nbrs(g, h)
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    base = [_mask_of(l) for l in inst.lists]
-    mapping = [-1] * g.n
-    switch = [0] * g.n
-    for comp in comps:
-        comp.sort()
-        done = False
-        for p0_mask, p1_mask in ((_H_BLACK, _H_WHITE), (_H_WHITE, _H_BLACK)):
-            masks = list(base)
-            ok = True
-            for v in comp:
-                masks[v] &= p0_mask if side[v] == 0 else p1_mask
-                if masks[v] == 0:
-                    ok = False
-                    break
-            if not ok or not _propagate(nbrs, masks, comp, []):
-                continue
-            result = _solve_h1_component(red, comp, masks)
-            if result is not None:
-                for v, a, p in result:
-                    mapping[v] = a
-                    switch[v] = p
-                done = True
-                break
-        if not done:
-            return None
-    return Solution(
-        mapping=tuple(mapping), switching=Switching(v for v in range(g.n) if switch[v])
+    return _by_sides(
+        inst,
+        targets.build_h1(),
+        _H_WHITE,
+        _H_BLACK,
+        lambda comp, masks: _solve_h1_component(red, comp, masks),
     )
 
 
@@ -434,16 +441,37 @@ def _solve_h1_component(
 def solve_ordered(
     inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Exact decision for a normalized target with a special min ordering
-    o: the oracle's search, trying list values in the order o ranks them,
-    counting backtracks."""
+    """Exact decision for a normalized target with a special min ordering o,
+    without search: per instance component and side assignment, arc
+    consistency, then every vertex takes the value of least rank in o left
+    in its list, and one parity walk over the unicoloured edges whose image
+    is unicoloured (so blue) finds the switching that makes them blue; a
+    conflict fails the side. stats["backtracks"] stays 0."""
     if verify_min_ordering(h, o) is not None or verify_special(h, o) is not None:
         raise ValueError("ordering fails verification on the target")
     if any(c is RED for _, _, c in h.edges):
         raise ValueError("target not normalized: red unicoloured edge")
+    if stats is not None:
+        stats.setdefault("backtracks", 0)
     rank = {a: i for i, a in enumerate(o.white_order)}
     rank.update({a: i for i, a in enumerate(o.black_order)})
-    return _solve_lifted(inst, h, lambda a: (rank[a], a), stats)
+    g = inst.g
+    signed = _parity_lists(
+        g.n, ((u, v, c is RED) for u, v, c in g.edges if c is not BICOLOURED)
+    )
+
+    def finish(comp: List[int], masks: List[int]) -> Optional[List[Tuple[int, int, int]]]:
+        image = {v: min(_bits(masks[v]), key=rank.__getitem__) for v in comp}
+        onto_blue = {
+            v: [(w, p) for w, p in signed[v] if not h.bic_mask[image[v]] >> image[w] & 1]
+            for v in comp
+        }
+        found = _parity_walk(onto_blue, comp)
+        if found is None:
+            return None
+        return [(v, image[v], found[0][v]) for v in comp]
+
+    return _by_sides(inst, h, _mask_of(o.white_order), _mask_of(o.black_order), finish)
 
 
 def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:

@@ -1,4 +1,4 @@
-"""Hardness witnesses: chains, invertible pairs, and 4-cycle patterns."""
+"""Hardness witnesses: chains, invertible pairs, and chains read off 4-cycle patterns."""
 
 from __future__ import annotations
 
@@ -251,54 +251,6 @@ def _tarjan(states, index, successors) -> List[int]:
     return comp
 
 
-def find_alternating_4cycle(g: SignedGraph) -> Optional[Tuple[int, int, int, int]]:
-    """First (v1, v2, v3, v4) with v1v2, v3v4 bicoloured and v2v3, v4v1
-    unicoloured, in lexicographic order."""
-    uni = _uni_masks(g)
-    bic = g.bic_mask
-    for v1 in range(g.n):
-        for v2 in _bits(bic[v1]):
-            for v3 in _bits(uni[v2]):
-                if v3 == v1:
-                    continue
-                for v4 in _bits(bic[v3] & uni[v1]):
-                    if v4 != v2:
-                        return (v1, v2, v3, v4)
-    return None
-
-
-def find_4cycle_pair(
-    g: SignedGraph,
-) -> Optional[Tuple[int, int, int, int, int, int, int]]:
-    """First (v1..v7): 4-cycles v1v2v3v4 and v1v5v6v7 sharing only v1, with
-    v1v2, v1v5 bicoloured, the other six cycle edges unicoloured, and v3v5,
-    v2v6 either both non-edges or both bicoloured."""
-    uni = _uni_masks(g)
-    bic = g.bic_mask
-    for v1 in range(g.n):
-        triples: List[Tuple[int, int, int]] = []
-        for v2 in _bits(bic[v1]):
-            for v3 in _bits(uni[v2]):
-                if v3 == v1:
-                    continue
-                for v4 in _bits(uni[v3] & uni[v1]):
-                    if v4 != v2:
-                        triples.append((v2, v3, v4))
-        for t1 in triples:
-            for t2 in triples:
-                if set(t1) & set(t2):
-                    continue
-                v2, v3, _ = t1
-                v5, v6, _ = t2
-                c35 = g.colour(v3, v5)
-                c26 = g.colour(v2, v6)
-                if (c35 is None and c26 is None) or (
-                    c35 is BICOLOURED and c26 is BICOLOURED
-                ):
-                    return (v1,) + t1 + t2
-    return None
-
-
 def chain_of_alternating_4cycle(t: Tuple[int, int, int, int]) -> Chain:
     v1, v2, v3, v4 = t
     return Chain(U=(v1, v4, v3), D=(v1, v2, v3))
@@ -325,10 +277,6 @@ def witness_dict(w) -> dict:
             "U": list(w.U),
             "D": list(w.D),
         }
-    if isinstance(w, tuple) and len(w) == 4:
-        return {"kind": "alternating_4cycle", "vertices": list(w)}
-    if isinstance(w, tuple) and len(w) == 7:
-        return {"kind": "four_cycle_pair", "vertices": list(w)}
     raise ValueError("not a witness value")
 
 
@@ -339,8 +287,6 @@ __all__ = [
     "find_chain",
     "verify_invertible_pair",
     "find_invertible_pair",
-    "find_alternating_4cycle",
-    "find_4cycle_pair",
     "chain_of_alternating_4cycle",
     "chain_of_4cycle_pair",
     "witness_dict",

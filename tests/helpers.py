@@ -7,6 +7,7 @@ test sizes fast. The library must agree with these on every input tried.
 
 import itertools
 from collections import deque
+from typing import List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -23,7 +24,9 @@ from sephom import (
 from sephom.files import COLOUR_SYMBOLS, ParseError
 from sephom.hardness import QuadCsp
 from sephom.ordering import Ordering, ordering_for_cycle_target
+from sephom.sgcore import _bits
 from sephom.solver import Instance
+from sephom.witness import _uni_masks
 
 
 def all_switchings(n):
@@ -143,6 +146,58 @@ def brute_chain_min_steps(g):
                         fresh.append((xp, yp))
         frontier = fresh
         depth += 1
+    return None
+
+
+# The two 4-cycle pattern finders, kept here since classify reads every
+# witness from find_chain and find_invertible_pair.
+
+
+def find_alternating_4cycle(g: SignedGraph) -> Optional[Tuple[int, int, int, int]]:
+    """First (v1, v2, v3, v4) with v1v2, v3v4 bicoloured and v2v3, v4v1
+    unicoloured, in lexicographic order."""
+    uni = _uni_masks(g)
+    bic = g.bic_mask
+    for v1 in range(g.n):
+        for v2 in _bits(bic[v1]):
+            for v3 in _bits(uni[v2]):
+                if v3 == v1:
+                    continue
+                for v4 in _bits(bic[v3] & uni[v1]):
+                    if v4 != v2:
+                        return (v1, v2, v3, v4)
+    return None
+
+
+def find_4cycle_pair(
+    g: SignedGraph,
+) -> Optional[Tuple[int, int, int, int, int, int, int]]:
+    """First (v1..v7): 4-cycles v1v2v3v4 and v1v5v6v7 sharing only v1, with
+    v1v2, v1v5 bicoloured, the other six cycle edges unicoloured, and v3v5,
+    v2v6 either both non-edges or both bicoloured."""
+    uni = _uni_masks(g)
+    bic = g.bic_mask
+    for v1 in range(g.n):
+        triples: List[Tuple[int, int, int]] = []
+        for v2 in _bits(bic[v1]):
+            for v3 in _bits(uni[v2]):
+                if v3 == v1:
+                    continue
+                for v4 in _bits(uni[v3] & uni[v1]):
+                    if v4 != v2:
+                        triples.append((v2, v3, v4))
+        for t1 in triples:
+            for t2 in triples:
+                if set(t1) & set(t2):
+                    continue
+                v2, v3, _ = t1
+                v5, v6, _ = t2
+                c35 = g.colour(v3, v5)
+                c26 = g.colour(v2, v6)
+                if (c35 is None and c26 is None) or (
+                    c35 is BICOLOURED and c26 is BICOLOURED
+                ):
+                    return (v1,) + t1 + t2
     return None
 
 

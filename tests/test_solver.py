@@ -1,6 +1,8 @@
 """GF(2) systems, arc consistency, and the three solving routes."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from helpers import (
     hl61_with_ends_swapped,
     naive_arc_consistency,
     random_instance,
+    random_path_target,
     random_relabel,
     random_switching,
     solution_errors,
@@ -28,6 +31,7 @@ from sephom import (
     build_hl,
     build_reduction_target,
 )
+from sephom.classify import POLYNOMIAL, classify_path
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
     Gf2System,
@@ -268,10 +272,9 @@ def test_deep_paths_solve_on_every_route():
     assert check_solution(inst, h1, sol) == []
 
 
-def test_solve_ordered_can_backtrack_yet_stays_correct():
-    # Arc consistency after each assignment does not make the ordered search
-    # backtrack-free; this instance needs two backtracks and the answer is
-    # still right.
+def test_solve_ordered_needs_no_backtracking():
+    # The oracle-style search with rank value order needed two backtracks on
+    # this instance; the least-value-by-rank rule decides it with none.
     h = build_hl(3)
     o = ordering_for_cycle_target("Hl", 3)
     g = SignedGraph(
@@ -292,7 +295,89 @@ def test_solve_ordered_can_backtrack_yet_stays_correct():
     stats = {}
     assert solve_ordered(inst, h, o, stats=stats) is None
     assert solve_oracle(inst, h) is None
-    assert stats["backtracks"] == 2
+    assert stats["backtracks"] == 0
+
+
+def test_solve_ordered_takes_least_values_by_rank_and_checks_balance():
+    # Black 5 ranks first although 3 has the lower id; 3 and 0 are not
+    # adjacent, 5 and 0 are.
+    h = SignedGraph(
+        7, [(i, i + 1, BLUE) for i in range(6)] + [(0, 5, BICOLOURED), (2, 5, BICOLOURED)]
+    )
+    o = Ordering(black_order=(5, 1, 3), white_order=(0, 2, 4, 6))
+    sol = solve_ordered(Instance(blue_path(2), [[3, 5], [0, 2]]), h, o)
+    assert sol.mapping == (5, 0)
+    # An unbalanced 4-cycle maps onto a single blue edge under no switching,
+    # but onto Hl(3) through its bicoloured chord.
+    edge = SignedGraph(2, [(0, 1, BLUE)])
+    c4 = unbalanced_c4()
+    assert solve_ordered(Instance(c4, full_lists(4, edge)), edge, Ordering((1,), (0,))) is None
+    hl = build_hl(3)
+    inst = Instance(c4, full_lists(4, hl))
+    sol = solve_ordered(inst, hl, ordering_for_cycle_target("Hl", 3))
+    assert sol is not None
+    assert check_solution(inst, hl, sol) == []
+
+
+def polynomial_target(rng):
+    """A polynomial path with at most 14 vertices, or Hl(ell) with ell <= 11,
+    with its special min ordering."""
+    if rng.random() < 0.3:
+        ell = rng.choice((3, 5, 7, 9, 11))
+        return build_hl(ell), ordering_for_cycle_target("Hl", ell)
+    while True:
+        g = random_path_target(rng, rng.randint(2, 14), p_chord=rng.choice((0.1, 0.3)))
+        v = classify_path(g)
+        if v.complexity == POLYNOMIAL:
+            return g, v.ordering
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_solve_ordered_decides_polynomial_targets_exactly(seed):
+    rng = random.Random(seed)
+    h, o = polynomial_target(rng)
+    n = rng.randint(1, 10)
+    inst = random_instance(
+        rng, n, h, bipartite=rng.random() < 0.6, max_list=rng.randint(1, h.n)
+    )
+    stats = {}
+    sol = solve_ordered(inst, h, o, stats)
+    assert stats["backtracks"] == 0
+    assert (sol is None) == (solve_oracle(inst, h) is None)
+    if 2**n * math.prod(len(l) for l in inst.lists) <= 2 * 10**4:
+        assert (sol is None) == (brute_lhom(inst, h) is None)
+    if sol is not None:
+        assert check_solution(inst, h, sol) == []
+
+
+def best_time(f, runs=3):
+    best = None
+    for _ in range(runs):
+        start = time.perf_counter()
+        assert f() is not None
+        took = time.perf_counter() - start
+        best = took if best is None else min(best, took)
+    return best
+
+
+def test_side_loop_is_linear_in_the_number_of_components():
+    # A perfect matching has one component per edge; a loop that copied all
+    # the lists for each component and side took about 13 times as long on
+    # four times as many vertices.
+    h1 = build_h1()
+    edge = SignedGraph(2, [(0, 1, BLUE)])
+    times = {}
+    for n in (10_000, 40_000):
+        g = SignedGraph(n, [(i, i + 1, BLUE) for i in range(0, n, 2)])
+        inst = Instance(g, full_lists(n, h1))
+        on_edge = Instance(g, full_lists(n, edge))
+        times[n] = (
+            best_time(lambda: solve_h1(inst)),
+            best_time(lambda: solve_ordered(on_edge, edge, Ordering((1,), (0,)))),
+        )
+    for small, large in zip(times[10_000], times[40_000]):
+        assert large / small < 8
 
 
 def right_segmented_path():
