@@ -18,10 +18,14 @@ NP_COMPLETE = "NPComplete"
 
 @dataclass(frozen=True)
 class Verdict:
+    """A dichotomy verdict. phi, set on template matches only, is the least
+    vertex bijection onto the template that a switching completes."""
+
     complexity: str
     reason: str
     witness: object = None
     ordering: Optional[Ordering] = None
+    phi: Optional[Tuple[int, ...]] = None
 
 
 def _witness(g: SignedGraph):
@@ -124,7 +128,7 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
         if phi is None:
             continue
         o = ordering_mod.ordering_for_cycle_target(kind, ell)
-        return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi))
+        return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi), phi=phi)
     return Verdict(NP_COMPLETE, "NoTemplateMatch", witness=_witness(g))
 
 

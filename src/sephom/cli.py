@@ -12,7 +12,6 @@ from .classify import POLYNOMIAL, classify, verdict_dict
 from .files import ParseError, parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
 from .hardness import build_reduction
 from .solver import Solution, check_solution, solve
-from .witness import witness_dict
 
 
 def enum_targets(kind: str, max_n: int) -> Iterator[SignedGraph]:
@@ -126,25 +125,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    verdict = classify(parse_graph(_read(args.target)))
-    if verdict.witness is None:
-        _emit(None)
-        return 1
-    _emit(witness_dict(verdict.witness))
-    return 0
+    witness = verdict_dict(classify(parse_graph(_read(args.target))))["witness"]
+    _emit(witness)
+    return 1 if witness is None else 0
 
 
 def _cmd_ordering(args) -> int:
-    verdict = classify(parse_graph(_read(args.target)))
-    if verdict.ordering is None:
+    ordering = verdict_dict(classify(parse_graph(_read(args.target))))["ordering"]
+    if ordering is None:
         print("no ordering: target classified NP-complete", file=sys.stderr)
         return 1
-    _emit(
-        {
-            "white": list(verdict.ordering.white_order),
-            "black": list(verdict.ordering.black_order),
-        }
-    )
+    _emit(ordering)
     return 0
 
 
@@ -166,6 +157,10 @@ def _cmd_verify(args) -> int:
     data = json.loads(_read(args.solution))
     if not isinstance(data, dict) or "map" not in data or "switch" not in data:
         raise ValueError("solution file needs map and switch entries")
+    for key in ("map", "switch"):
+        # bool is a subclass of int, so true would pass an isinstance check.
+        if not isinstance(data[key], list) or any(type(x) is not int for x in data[key]):
+            raise ValueError("solution %s must be a list of vertex ids" % key)
     sol = Solution(
         mapping=tuple(data["map"]), switching=Switching(data["switch"])
     )

@@ -133,24 +133,19 @@ def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:
             raise ValueError("LeftRightSegmented form lacks its pivot")
         u_side = set(range(0, pivot.start + 2))
 
-        def pivot_recipe(cls: List[int]) -> List[int]:
+        def halves(cls: List[int]) -> Tuple[List[int], List[int]]:
             ul = [i for i in cls if i in u_side and i in backward]
             un = [i for i in cls if i in u_side and i not in backward]
             vr = [i for i in cls if i not in u_side and i in forward]
             vn = [i for i in cls if i not in u_side and i not in forward]
-            return ul[::-1] + un + vr + vn[::-1]
+            return ul[::-1] + un, vr + vn[::-1]
 
-        def other_recipe(cls: List[int]) -> List[int]:
-            ul = [i for i in cls if i in u_side and i in backward]
-            un = [i for i in cls if i in u_side and i not in backward]
-            vr = [i for i in cls if i not in u_side and i in forward]
-            vn = [i for i in cls if i not in u_side and i not in forward]
-            return vr + vn[::-1] + ul[::-1] + un
-
+        (wu, wv), (bu, bv) = halves(evens), halves(odds)
+        # The pivot's class puts its u side first, the other class its v side.
         if pivot.start % 2 == 0:
-            white, black = pivot_recipe(evens), other_recipe(odds)
+            white, black = wu + wv, bv + bu
         else:
-            white, black = other_recipe(evens), pivot_recipe(odds)
+            white, black = wv + wu, bu + bv
     else:
         raise ValueError("no ordering for kind %r" % f.kind)
 

@@ -156,18 +156,18 @@ def find_segments(p: PathForm) -> List[Segment]:
             run = [i]
     if run:
         segments.append(Segment(run[0], len(run), frozenset()))
-    return [
-        Segment(s.start, s.j, segment_leaning(p, s, _checked=False)) for s in segments
-    ]
+    return [Segment(s.start, s.j, _leaning(p, s)) for s in segments]
 
 
-def segment_leaning(p: PathForm, s: Segment, _checked: bool = True) -> FrozenSet[str]:
+def segment_leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
     """Leaning labels: Right iff every forward source has every forward edge,
     Left iff every backward source has every backward edge."""
-    if _checked and not any(
-        t.start == s.start and t.j == s.j for t in find_segments(p)
-    ):
+    if not any(t.start == s.start and t.j == s.j for t in find_segments(p)):
         raise ValueError("not a segment of this path form")
+    return _leaning(p, s)
+
+
+def _leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
     n = len(p.order)
     labels = set()
     if all(

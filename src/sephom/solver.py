@@ -13,7 +13,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 from .sgcore import (
     BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
-    apply_switching, is_semi_balanced, switching_equivalent,
+    _switching, apply_switching, is_semi_balanced,
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
@@ -328,6 +328,7 @@ def _by_sides(
     )
 
 
+_H1 = targets.build_h1()
 _H_WHITE = _mask_of((0, 2, 5))
 _H_BLACK = _mask_of((1, 3, 4))
 
@@ -341,7 +342,7 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
     return _by_sides(
         inst,
-        targets.build_h1(),
+        _H1,
         _H_WHITE,
         _H_BLACK,
         lambda comp, masks: _solve_h1_component(red, comp, masks),
@@ -527,14 +528,15 @@ def _translate(
 
 
 def _solve_via_h1(
-    target: SignedGraph, inst: Instance, stats: Optional[dict]
+    target: SignedGraph, inst: Instance, phi: Tuple[int, ...]
 ) -> Optional[Solution]:
-    found = switching_equivalent(target, targets.build_h1())
-    if found is None:
-        raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
-    phi, s = found
-    if stats is not None:
-        stats.setdefault("backtracks", 0)
+    """Solve against a target that phi aligns onto _H1. Its unicoloured
+    edges span it, so one walk rooted at the vertex phi sends to 0 gives
+    the switching: the one the equivalence search finds for this phi."""
+    uni = ((u, v, c) for u, v, c in target.edges if c is not BICOLOURED)
+    s = _switching(
+        target, ((u, v, c is not _H1.colour(phi[u], phi[v])) for u, v, c in uni), (phi.index(0),)
+    )
     lifted = Instance(inst.g, [frozenset(phi[a] for a in l) for l in inst.lists])
     return _translate(solve_h1(lifted), phi, s)
 
@@ -553,28 +555,31 @@ def solve(
     target: SignedGraph, inst: Instance, alg: str = "auto", stats: Optional[dict] = None
 ) -> Optional[Solution]:
     """Decide inst against target by the route alg names: "oracle" for any
-    target, "h1" for one switching-equivalent to the 6-vertex unbalanced
-    cycle, "ordered" by the special min ordering of a polynomial target, or
-    "auto", which classifies the target and takes h1 when it matches that
-    cycle, else ordered. Raises ValueError when the route does not apply to
-    the target, or when a solution fails check_solution."""
+    target, or a route read off the target's verdict, from one classify
+    call: h1 when the verdict matches the 6-vertex unbalanced cycle, which
+    reuses the verdict's alignment phi, else ordered by the verdict's
+    special min ordering. "auto" takes that route; "h1" and "ordered" only
+    check that it is the one they name. Raises ValueError when the route
+    does not apply to the target, or when a solution fails check_solution."""
+    if stats is not None:
+        stats.setdefault("backtracks", 0)
     if alg == "oracle":
         sol = solve_oracle(inst, target, stats)
-    elif alg == "h1":
-        sol = _solve_via_h1(target, inst, stats)
-    elif alg in ("auto", "ordered"):
+    elif alg in ("auto", "h1", "ordered"):
         verdict = classify(target)
-        if verdict.complexity == NP_COMPLETE:
+        if verdict.reason == "MatchesH1" and alg != "ordered":
+            sol = _solve_via_h1(target, inst, verdict.phi)
+        elif alg == "h1":
+            raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
+        elif verdict.complexity == NP_COMPLETE:
             if alg == "ordered":
                 raise ValueError("target is NP-complete; no ordering exists")
             raise ValueError(
                 "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
             )
-        if alg == "auto" and verdict.reason == "MatchesH1":
-            sol = _solve_via_h1(target, inst, stats)
+        elif verdict.reason == "MatchesH1":
+            raise ValueError("no usable ordering for this target")
         else:
-            if verdict.ordering is None or verdict.reason == "MatchesH1":
-                raise ValueError("no usable ordering for this target")
             sol = _solve_via_ordering(target, inst, verdict.ordering, stats)
     else:
         raise ValueError("unknown alg %r" % alg)

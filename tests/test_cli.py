@@ -279,6 +279,19 @@ def test_verify_verb(tmp_path, capsys):
     assert run(["verify", t, i, short]) == 2
     garbled = write(tmp_path, "garbled.json", "{not json")
     assert run(["verify", t, i, garbled]) == 2
+    for k, entries in enumerate(
+        [
+            {"map": ["x", 1], "switch": []},
+            {"map": [0, 1], "switch": [[1]]},
+            {"map": 5, "switch": []},
+            {"map": [0, 1], "switch": 3},
+            {"map": [0, True], "switch": []},
+            {"map": [0.0, 1], "switch": []},
+        ]
+    ):
+        malformed = write(tmp_path, "malformed%d.json" % k, json.dumps(entries))
+        assert run(["verify", t, i, malformed]) == 2
+        assert "must be a list of vertex ids" in capsys.readouterr().err
 
 
 def test_error_exit_codes(tmp_path, capsys):

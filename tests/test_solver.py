@@ -30,7 +30,9 @@ from sephom import (
     build_h1,
     build_hl,
     build_reduction_target,
+    switching_equivalent,
 )
+from sephom import sgcore, solver, targets
 from sephom.classify import POLYNOMIAL, classify_path
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
@@ -434,6 +436,54 @@ def test_solve_rejects_targets_off_its_route():
         solve(hl, inst, "h1")
     with pytest.raises(ValueError, match="unknown alg"):
         solve(hl, inst, "fastest")
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_h1_route_reads_the_equivalence_off_the_verdict(seed):
+    rng = random.Random(seed)
+    target = disguise(rng, build_h1())
+    inst = random_instance(rng, rng.randint(1, 6), target, bipartite=rng.random() < 0.7)
+    seen = []
+    translate = solver._translate
+
+    def spy(sol, phi, s):
+        seen.append((phi, s))
+        return translate(sol, phi, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_translate", spy)
+        solve(target, inst, rng.choice(("auto", "h1")))
+    assert seen == [switching_equivalent(target, build_h1())]
+
+
+def test_solve_classifies_once_and_builds_no_target(monkeypatch):
+    rng = random.Random(5)
+    h1 = disguise(rng, build_h1())
+    hl = disguise(rng, build_hl(5))
+    cases = [(h1, alg, random_instance(rng, 6, h1)) for alg in ("auto", "h1")]
+    cases += [(hl, alg, random_instance(rng, 6, hl)) for alg in ("auto", "ordered")]
+    expected = [solve_oracle(inst, target) is None for target, _, inst in cases]
+    classified = []
+    real_classify = solver.classify
+
+    def counted(g):
+        classified.append(g)
+        return real_classify(g)
+
+    def forbidden(*args):
+        raise AssertionError("called while solving")
+
+    monkeypatch.setattr(solver, "classify", counted)
+    monkeypatch.setattr(sgcore, "switching_equivalent", forbidden)
+    for name in ("build_h0", "build_h1", "build_hl", "build_reduction_target"):
+        monkeypatch.setattr(targets, name, forbidden)
+    assert not hasattr(solver, "switching_equivalent")
+    for (target, alg, inst), none in zip(cases, expected):
+        classified.clear()
+        sol = solve(target, inst, alg)
+        assert classified == [target]
+        assert (sol is None) == none
 
 
 def test_check_solution_reports_all_violation_kinds():
