@@ -9,7 +9,7 @@ from typing import Iterator, List, Sequence
 
 from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching
 from .classify import POLYNOMIAL, classify, verdict_dict
-from .files import ParseError, parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
+from .files import parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
 from .hardness import build_reduction
 from .solver import Solution, check_solution, solve
 
@@ -112,7 +112,7 @@ def _cmd_solve(args) -> int:
             "decision": "no" if sol is None else "yes",
             "map": None if sol is None else list(sol.mapping),
             "switch": None if sol is None else sorted(sol.switching.flipped),
-            "stats": {"backtracks": stats.get("backtracks", 0)},
+            "stats": {"backtracks": stats["backtracks"]},
         }
     )
     return 1 if sol is None else 0
@@ -219,10 +219,8 @@ def run(argv: Sequence[str]) -> int:
         return int(stop.code or 0)
     try:
         return args.fn(args)
-    except ParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    # ParseError and json.JSONDecodeError are ValueErrors.
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

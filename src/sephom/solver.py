@@ -13,7 +13,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 from .sgcore import (
     BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
-    _switching, apply_switching, is_semi_balanced,
+    _switching, is_semi_balanced,
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
@@ -442,16 +442,16 @@ def _solve_h1_component(
 def solve_ordered(
     inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Exact decision for a normalized target with a special min ordering o,
-    without search: per instance component and side assignment, arc
-    consistency, then every vertex takes the value of least rank in o left
-    in its list, and one parity walk over the unicoloured edges whose image
-    is unicoloured (so blue) finds the switching that makes them blue; a
-    conflict fails the side. stats["backtracks"] stays 0."""
+    """Exact decision for a semi-balanced target with a special min
+    ordering o, without search: per instance component and side assignment,
+    arc consistency, then every vertex takes the value of least rank in o
+    left in its list, and one parity walk over the unicoloured edges whose
+    image is unicoloured finds the switching that gives each its image's
+    sign; a conflict fails the side. stats["backtracks"] stays 0."""
     if verify_min_ordering(h, o) is not None or verify_special(h, o) is not None:
         raise ValueError("ordering fails verification on the target")
-    if any(c is RED for _, _, c in h.edges):
-        raise ValueError("target not normalized: red unicoloured edge")
+    if is_semi_balanced(h) is None:
+        raise ValueError("target is not semi-balanced")
     if stats is not None:
         stats.setdefault("backtracks", 0)
     rank = {a: i for i, a in enumerate(o.white_order)}
@@ -463,11 +463,13 @@ def solve_ordered(
 
     def finish(comp: List[int], masks: List[int]) -> Optional[List[Tuple[int, int, int]]]:
         image = {v: min(_bits(masks[v]), key=rank.__getitem__) for v in comp}
-        onto_blue = {
-            v: [(w, p) for w, p in signed[v] if not h.bic_mask[image[v]] >> image[w] & 1]
-            for v in comp
-        }
-        found = _parity_walk(onto_blue, comp)
+        onto_uni = {v: [] for v in comp}
+        for v in comp:
+            for w, p in signed[v]:
+                ic = h.colour(image[v], image[w])
+                if ic is not BICOLOURED:
+                    onto_uni[v].append((w, p ^ (ic is RED)))
+        found = _parity_walk(onto_uni, comp)
         if found is None:
             return None
         return [(v, image[v], found[0][v]) for v in comp]
@@ -541,16 +543,6 @@ def _solve_via_h1(
     return _translate(solve_h1(lifted), phi, s)
 
 
-def _solve_via_ordering(
-    target: SignedGraph, inst: Instance, o: Ordering, stats: Optional[dict]
-) -> Optional[Solution]:
-    nu = is_semi_balanced(target)
-    if nu is None:
-        raise ValueError("target is not semi-balanced")
-    sol = solve_ordered(inst, apply_switching(target, nu), o, stats)
-    return _translate(sol, tuple(range(target.n)), nu)
-
-
 def solve(
     target: SignedGraph, inst: Instance, alg: str = "auto", stats: Optional[dict] = None
 ) -> Optional[Solution]:
@@ -577,10 +569,8 @@ def solve(
             raise ValueError(
                 "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
             )
-        elif verdict.reason == "MatchesH1":
-            raise ValueError("no usable ordering for this target")
         else:
-            sol = _solve_via_ordering(target, inst, verdict.ordering, stats)
+            sol = solve_ordered(inst, target, verdict.ordering, stats)
     else:
         raise ValueError("unknown alg %r" % alg)
     if sol is not None:

@@ -202,6 +202,24 @@ def test_solve_alg_h1_requires_an_equivalent_target(tmp_path, capsys):
     assert "not equivalent" in capsys.readouterr().err
 
 
+def test_solve_alg_ordered_rejects_h1(tmp_path, capsys):
+    target = build_h1()
+    inst = Instance(blue_path(2), [range(6)] * 2)
+    rc = run(
+        [
+            "solve",
+            target_file(tmp_path, target),
+            instance_file(tmp_path, inst),
+            "--alg",
+            "ordered",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_witness_verb(tmp_path, capsys):
     rc = run(["witness", target_file(tmp_path, blue_path(6, [(0, 3), (2, 5)]))])
     d = payload(capsys)

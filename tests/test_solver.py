@@ -222,12 +222,17 @@ def test_solve_ordered_validates_its_inputs():
     bad = Ordering(black_order=(1, 3, 4), white_order=(0, 2, 5))
     with pytest.raises(ValueError, match="fails verification"):
         solve_ordered(inst, h, bad)
+    # A red target edge is solved as given, with its sign.
     red_target = SignedGraph(2, [(0, 1, RED)])
-    with pytest.raises(ValueError, match="red unicoloured"):
+    red_inst = Instance(blue_path(2), full_lists(2, red_target))
+    sol = solve_ordered(red_inst, red_target, Ordering((1,), (0,)))
+    assert sol is not None
+    assert check_solution(red_inst, red_target, sol) == []
+    # H1 has a special min ordering but no switching makes it semi-balanced.
+    h1 = build_h1()
+    with pytest.raises(ValueError, match="not semi-balanced"):
         solve_ordered(
-            Instance(blue_path(2), full_lists(2, red_target)),
-            red_target,
-            Ordering((1,), (0,)),
+            Instance(blue_path(2), full_lists(2, h1)), h1, ordering_for_cycle_target("H1")
         )
 
 
@@ -351,6 +356,13 @@ def test_solve_ordered_decides_polynomial_targets_exactly(seed):
         assert (sol is None) == (brute_lhom(inst, h) is None)
     if sol is not None:
         assert check_solution(inst, h, sol) == []
+    # The same target under a switching: same decision and map, its own signs.
+    switched = apply_switching(h, random_switching(rng, h.n))
+    other = solve_ordered(inst, switched, o)
+    assert (other is None) == (sol is None)
+    if other is not None:
+        assert other.mapping == sol.mapping
+        assert check_solution(inst, switched, other) == []
 
 
 def best_time(f, runs=3):
@@ -436,6 +448,9 @@ def test_solve_rejects_targets_off_its_route():
         solve(hl, inst, "h1")
     with pytest.raises(ValueError, match="unknown alg"):
         solve(hl, inst, "fastest")
+    h1 = build_h1()
+    with pytest.raises(ValueError, match="not semi-balanced"):
+        solve(h1, Instance(blue_path(2), full_lists(2, h1)), "ordered")
 
 
 @given(st.integers(min_value=0, max_value=10**9))
