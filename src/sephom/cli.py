@@ -223,6 +223,9 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

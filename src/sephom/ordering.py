@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .sgcore import SignedGraph, _bits
 from . import separable
@@ -92,15 +92,6 @@ def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]
     return None
 
 
-def _sources(p: PathForm) -> Tuple[Set[int], Set[int]]:
-    forward: Set[int] = set()
-    backward: Set[int] = set()
-    for s in separable.find_segments(p):
-        forward.update(s.forward_sources())
-        backward.update(s.backward_sources())
-    return forward, backward
-
-
 def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:
     """Special min ordering for a segmented path target.
 
@@ -109,7 +100,10 @@ def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:
     n = len(p.order)
     evens = list(range(0, n, 2))
     odds = list(range(1, n, 2))
-    forward, backward = _sources(p)
+    # Segments tile the block starts, so the segments' forward sources are
+    # the block starts and their backward sources the block ends.
+    forward = {i for i, j in p.bic if j == i + 3}
+    backward = {i + 3 for i in forward}
 
     def right_recipe(cls: List[int]) -> List[int]:
         src = [i for i in cls if i in forward]

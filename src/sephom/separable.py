@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
-from .sgcore import BICOLOURED, RED, SignedGraph, Switching, _switching
+from .sgcore import BICOLOURED, RED, SignedGraph
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -19,11 +19,11 @@ NOT_SEGMENTED = "NotSegmented"
 
 @dataclass(frozen=True)
 class PathForm:
-    """Spanning unicoloured path: vertex order, a switching making the path
-    blue, and the bicoloured edges as position pairs (a, b) with a < b."""
+    """Spanning unicoloured path: vertex order and the bicoloured edges as
+    position pairs (a, b) with a < b. A switching making the path blue comes
+    from is_semi_balanced, which a spanning path always is."""
 
     order: Tuple[int, ...]
-    normalizer: Switching
     bic: FrozenSet[Tuple[int, int]]
 
 
@@ -39,11 +39,11 @@ class CycleForm:
 
 @dataclass(frozen=True)
 class Segment:
-    """Positions start..start+2j+1; blocks begin at start, start+2, ..."""
+    """Positions start..start+2j+1; blocks begin at start, start+2, ...
+    Its leaning labels come from segment_leaning."""
 
     start: int
     j: int
-    leaning: FrozenSet[str]
 
     @property
     def end(self) -> int:
@@ -91,7 +91,7 @@ def path_form(g: SignedGraph) -> Optional[PathForm]:
     if sum(len(a) for a in uni) != 2 * (g.n - 1):
         return None
     if g.n == 1:
-        return PathForm((0,), Switching(), _bic_positions(g, (0,)))
+        return PathForm((0,), _bic_positions(g, (0,)))
     ends = [v for v in range(g.n) if len(uni[v]) == 1]
     if len(ends) != 2 or any(len(a) > 2 for a in uni):
         return None
@@ -106,10 +106,7 @@ def path_form(g: SignedGraph) -> Optional[PathForm]:
     if len(order) != g.n:
         return None
     order_t = tuple(order)
-    normalizer = _switching(
-        g, ((u, v, g.colour(u, v) is RED) for u, v in zip(order, order[1:])), order_t
-    )
-    return PathForm(order_t, normalizer, _bic_positions(g, order_t))
+    return PathForm(order_t, _bic_positions(g, order_t))
 
 
 def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
@@ -152,82 +149,67 @@ def find_segments(p: PathForm) -> List[Segment]:
             run.append(i)
         else:
             if run:
-                segments.append(Segment(run[0], len(run), frozenset()))
+                segments.append(Segment(run[0], len(run)))
             run = [i]
     if run:
-        segments.append(Segment(run[0], len(run), frozenset()))
-    return [Segment(s.start, s.j, _leaning(p, s)) for s in segments]
+        segments.append(Segment(run[0], len(run)))
+    return segments
 
 
 def segment_leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
     """Leaning labels: Right iff every forward source has every forward edge,
     Left iff every backward source has every backward edge."""
-    if not any(t.start == s.start and t.j == s.j for t in find_segments(p)):
+    if s not in find_segments(p):
         raise ValueError("not a segment of this path form")
-    return _leaning(p, s)
-
-
-def _leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
-    n = len(p.order)
     labels = set()
-    if all(
-        (f, t) in p.bic
-        for f in s.forward_sources()
-        for t in range(f + 3, n, 2)
-    ):
+    if _forward_closure(s.forward_sources(), len(p.order)) <= p.bic:
         labels.add(RIGHT)
-    if all(
-        (t, h) in p.bic
-        for h in s.backward_sources()
-        for t in range(h - 3, -1, -2)
-    ):
+    if _backward_closure(s.backward_sources()) <= p.bic:
         labels.add(LEFT)
     return frozenset(labels)
 
 
-def _forward_closure(s: Segment, n: int) -> set:
-    return {(f, t) for f in s.forward_sources() for t in range(f + 3, n, 2)}
+def _forward_closure(starts: Iterable[int], n: int) -> set:
+    """Every forward edge (f, t), t = f+3, f+5, ..., from each position f."""
+    return {(f, t) for f in starts for t in range(f + 3, n, 2)}
 
 
-def _backward_closure(s: Segment) -> set:
-    return {(t, h) for h in s.backward_sources() for t in range(h - 3, -1, -2)}
+def _backward_closure(ends: Iterable[int]) -> set:
+    """Every backward edge (t, h), t = h-3, h-5, ..., into each position h."""
+    return {(t, h) for h in ends for t in range(h - 3, -1, -2)}
 
 
 def matching_kinds(p: PathForm) -> dict:
     """All segmented kinds whose mandated bicoloured set equals p.bic,
-    mapped to the pivot segment where one applies."""
+    mapped to the pivot segment where one applies. The Right and Left sets
+    close over the block starts and ends (the segments' sources); only the
+    LeftRight pivot loop reads the segments."""
     n = len(p.order)
     found = {}
     if not p.bic:
         found[TRIVIAL_PATH] = None
         return found
-    segments = find_segments(p)
-    if not segments:
-        return found
     starts = sorted(i for i, j in p.bic if j == i + 3)
     if any(b - a == 1 for a, b in zip(starts, starts[1:])):
         # Blocks at consecutive positions overlap in an alternating 4-cycle.
         return found
-    right = set().union(*(_forward_closure(s, n) for s in segments))
-    if right == p.bic:
+    if _forward_closure(starts, n) == p.bic:
         found[RIGHT_SEGMENTED] = None
-    left = set().union(*(_backward_closure(s) for s in segments))
-    if left == p.bic:
+    if _backward_closure(i + 3 for i in starts) == p.bic:
         found[LEFT_SEGMENTED] = None
-    for pivot in segments:
-        mandated = set()
-        for s in segments:
-            if s.start <= pivot.start:
-                mandated |= _backward_closure(s)
-            if s.start >= pivot.start:
-                mandated |= _forward_closure(s, n)
+    for pivot in find_segments(p):
+        # Backward edges into the blocks up to the pivot's, forward edges
+        # out of the blocks from the pivot's on, and every cross pair.
+        mandated = _backward_closure(i + 3 for i in starts if i < pivot.end - 1)
+        mandated |= _forward_closure((i for i in starts if i >= pivot.start), n)
         mandated |= {
             (src, tgt)
             for src in range(pivot.start - 2, -1, -2)
             for tgt in range(pivot.end + 2, n, 2)
         }
-        if mandated == p.bic and LEFT_RIGHT_SEGMENTED not in found:
+        if mandated == p.bic:
             found[LEFT_RIGHT_SEGMENTED] = pivot
+            break
     return found
 
 

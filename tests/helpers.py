@@ -24,6 +24,15 @@ from sephom import (
 from sephom.files import COLOUR_SYMBOLS, ParseError
 from sephom.hardness import QuadCsp
 from sephom.ordering import Ordering, ordering_for_cycle_target
+from sephom.separable import (
+    LEFT,
+    LEFT_RIGHT_SEGMENTED,
+    LEFT_SEGMENTED,
+    RIGHT,
+    RIGHT_SEGMENTED,
+    TRIVIAL_PATH,
+    find_segments,
+)
 from sephom.sgcore import _bits
 from sephom.solver import Instance
 from sephom.witness import _uni_masks
@@ -351,13 +360,68 @@ def ref_components(g, vertices=None):
     return comps
 
 
-def ref_path_normalizer(g, order):
-    """Switching making the unicoloured path along order blue, with
-    order[0] unflipped."""
-    bit = {order[0]: 0} if order else {}
-    for u, v in zip(order, order[1:]):
-        bit[v] = bit[u] ^ (g.colour(u, v) is RED)
-    return Switching(v for v, b in bit.items() if b)
+def _ref_forward_closure(s, n):
+    return {(f, t) for f in s.forward_sources() for t in range(f + 3, n, 2)}
+
+
+def _ref_backward_closure(s):
+    return {(t, h) for h in s.backward_sources() for t in range(h - 3, -1, -2)}
+
+
+def ref_leaning(p, s):
+    """Leaning labels of segment s, edge by edge from its sources."""
+    n = len(p.order)
+    labels = set()
+    if all(
+        (f, t) in p.bic
+        for f in s.forward_sources()
+        for t in range(f + 3, n, 2)
+    ):
+        labels.add(RIGHT)
+    if all(
+        (t, h) in p.bic
+        for h in s.backward_sources()
+        for t in range(h - 3, -1, -2)
+    ):
+        labels.add(LEFT)
+    return frozenset(labels)
+
+
+def ref_matching_kinds(p):
+    """Segmented kinds matching p.bic, with every mandated set built as a
+    union of per-segment closures."""
+    n = len(p.order)
+    found = {}
+    if not p.bic:
+        found[TRIVIAL_PATH] = None
+        return found
+    segments = find_segments(p)
+    if not segments:
+        return found
+    starts = sorted(i for i, j in p.bic if j == i + 3)
+    if any(b - a == 1 for a, b in zip(starts, starts[1:])):
+        return found
+    right = set().union(*(_ref_forward_closure(s, n) for s in segments))
+    if right == p.bic:
+        found[RIGHT_SEGMENTED] = None
+    left = set().union(*(_ref_backward_closure(s) for s in segments))
+    if left == p.bic:
+        found[LEFT_SEGMENTED] = None
+    for pivot in segments:
+        mandated = set()
+        for s in segments:
+            if s.start <= pivot.start:
+                mandated |= _ref_backward_closure(s)
+            if s.start >= pivot.start:
+                mandated |= _ref_forward_closure(s, n)
+        mandated |= {
+            (src, tgt)
+            for src in range(pivot.start - 2, -1, -2)
+            for tgt in range(pivot.end + 2, n, 2)
+        }
+        if mandated == p.bic and LEFT_RIGHT_SEGMENTED not in found:
+            found[LEFT_RIGHT_SEGMENTED] = pivot
+    return found
 
 
 def ref_tokenize(text):

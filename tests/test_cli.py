@@ -220,6 +220,24 @@ def test_solve_alg_ordered_rejects_h1(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+# n * 8 > sys.maxsize: CPython refuses the vertex list before allocating it.
+OVERSIZED = "sg 2000000000000000000\n"
+
+
+def test_oversized_vertex_counts_exit_2(tmp_path, capsys):
+    big = write(tmp_path, "big.sg", OVERSIZED)
+    rc = run(["classify", big])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    rc = run(["solve", target_file(tmp_path, blue_path(2)), big])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_witness_verb(tmp_path, capsys):
     rc = run(["witness", target_file(tmp_path, blue_path(6, [(0, 3), (2, 5)]))])
     d = payload(capsys)

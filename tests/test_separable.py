@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_path_target, random_switching
+from helpers import random_path_target, random_switching, ref_leaning, ref_matching_kinds
 from sephom import (
     BICOLOURED,
     BLUE,
@@ -17,6 +17,7 @@ from sephom import (
     build_h1,
     build_hl,
     build_reduction_target,
+    enum_targets,
     relabel,
     template_pairs,
 )
@@ -57,9 +58,6 @@ def test_path_form_canonical_orientation():
     g = SignedGraph(3, [(0, 2, BLUE), (0, 1, RED)])
     pf = path_form(g)
     assert pf.order == (1, 0, 2)
-    assert pf.normalizer.flipped == frozenset({0, 2})
-    normalized = apply_switching(g, pf.normalizer)
-    assert all(c is BLUE for _, _, c in normalized.edges if c is not BICOLOURED)
 
 
 def test_path_form_rejects_non_paths():
@@ -97,7 +95,7 @@ def test_cycle_form_rejects_non_cycles():
 
 
 def test_segment_geometry():
-    s = Segment(4, 2, frozenset())
+    s = Segment(4, 2)
     assert s.end == 9
     assert s.forward_sources() == [4, 6]
     assert s.backward_sources() == [7, 9]
@@ -107,14 +105,14 @@ def test_find_segments_single_run():
     pf = path_form(blue_path(6, [(0, 3), (2, 5)]))
     segs = find_segments(pf)
     assert [(s.start, s.j) for s in segs] == [(0, 2)]
-    assert segs[0].leaning == frozenset()
+    assert segment_leaning(pf, segs[0]) == frozenset()
 
 
 def test_find_segments_fig_example():
     pf = path_form(blue_path(20, FIG_BIC))
     segs = find_segments(pf)
     assert [(s.start, s.j) for s in segs] == [(4, 2), (11, 1), (14, 2)]
-    assert [sorted(s.leaning) for s in segs] == [
+    assert [sorted(segment_leaning(pf, s)) for s in segs] == [
         [LEFT],
         [LEFT, RIGHT],
         [RIGHT],
@@ -124,14 +122,15 @@ def test_find_segments_fig_example():
 def test_segment_leaning_rejects_foreign_segments():
     pf = path_form(blue_path(6, [(0, 3), (2, 5), (0, 5)]))
     with pytest.raises(ValueError, match="not a segment"):
-        segment_leaning(pf, Segment(1, 1, frozenset()))
+        segment_leaning(pf, Segment(1, 1))
 
 
 def test_matching_kinds_and_precedence():
     pf = path_form(blue_path(6, [(0, 3), (2, 5), (0, 5)]))
     kinds = matching_kinds(pf)
     assert set(kinds) == {RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED}
-    assert kinds[LEFT_RIGHT_SEGMENTED] == Segment(0, 2, frozenset({LEFT, RIGHT}))
+    assert kinds[LEFT_RIGHT_SEGMENTED] == Segment(0, 2)
+    assert segment_leaning(pf, Segment(0, 2)) == {LEFT, RIGHT}
     assert segmented_form(pf).kind == RIGHT_SEGMENTED
 
 
@@ -211,3 +210,19 @@ def test_segment_runs_tile_the_block_starts(seed):
         assert run <= starts
         covered |= run
     assert covered == starts
+    segs = find_segments(pf)
+    assert set().union(*(s.forward_sources() for s in segs)) == starts
+    assert set().union(*(s.backward_sources() for s in segs)) == {i + 3 for i in starts}
+
+
+def test_block_closures_match_the_segment_closures():
+    # The canonical path targets with n <= 10 cover all five kinds and ten
+    # LeftRight pivots.
+    kinds = set()
+    for g in enum_targets("path", 10):
+        pf = path_form(g)
+        assert matching_kinds(pf) == ref_matching_kinds(pf)
+        for s in find_segments(pf):
+            assert segment_leaning(pf, s) == ref_leaning(pf, s)
+        kinds.add(segmented_form(pf).kind)
+    assert len(kinds) == 5

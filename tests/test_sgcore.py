@@ -11,14 +11,12 @@ from helpers import (
     brute_balanced,
     brute_semi_balanced,
     random_bipartite_signed_graph,
-    random_path_target,
     random_relabel,
     random_signed_graph,
     random_switching,
     ref_bipartition,
     ref_components,
     ref_matching_switching,
-    ref_path_normalizer,
     ref_uniform_switching,
     signed_graph_st,
 )
@@ -41,7 +39,6 @@ from sephom import (
     switching_equivalent,
     walk_sign,
 )
-from sephom.separable import path_form
 from sephom.sgcore import _parity_lists, _parity_walk
 
 
@@ -199,8 +196,8 @@ def test_bipartition_crosses_every_edge(g):
 @settings(max_examples=300, deadline=None)
 def test_parity_walks_match_the_references(seed, n, p_edge, p_bic, bipartite, balanced):
     # Each component's parities are fixed by its root, which is the least
-    # vertex (order[0] for a path), so the shared walk must reproduce the
-    # separate walks it replaced exactly.
+    # vertex, so the shared walk must reproduce the separate walks it
+    # replaced exactly.
     rng = random.Random(seed)
     maker = random_bipartite_signed_graph if bipartite else random_signed_graph
     g = maker(rng, n, p_edge, p_bic, 0.0 if balanced else 0.25)
@@ -217,11 +214,6 @@ def test_parity_walks_match_the_references(seed, n, p_edge, p_bic, bipartite, ba
         phi, t = switching_equivalent(g, h)
         s_img = ref_matching_switching(relabel(g, phi), h)
         assert t == Switching(u for u in range(n) if phi[u] in s_img.flipped)
-    path, _ = random_relabel(
-        rng, apply_switching(random_path_target(rng, n), random_switching(rng, n))
-    )
-    form = path_form(path)
-    assert form.normalizer == ref_path_normalizer(path, form.order)
 
 
 def test_walk_sign_examples():
