@@ -1,8 +1,9 @@
 """List-homomorphism solvers: arc consistency; one loop over instance
 components and side assignments behind the ordered solver (least value by
-rank, then a balance walk) and the region/GF(2) algorithm for the small
-unbalanced cycle target; a propagate-and-search oracle over (target vertex,
-switch bit) values for any target; solve picks the route for a target."""
+rank, then a balance walk) and the region/parity-walk algorithm for the
+small unbalanced cycle target; a propagate-and-search oracle over (target
+vertex, switch bit) values for any target; solve picks the route for a
+target."""
 
 from __future__ import annotations
 
@@ -47,10 +48,17 @@ class Gf2System:
     equations: Tuple[Tuple[FrozenSet[Hashable], int], ...]
 
     def __init__(self, variables, equations):
+        """equations are (variables, bit) pairs, each meaning that the sum of
+        its variables is bit mod 2; a variable listed twice cancels, so each
+        equation keeps the variables it lists an odd number of times."""
+        folded = []
+        for vs, b in equations:
+            odd: set = set()
+            for v in vs:
+                odd ^= {v}
+            folded.append((frozenset(odd), b & 1))
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(
-            self, "equations", tuple((frozenset(vs), b & 1) for vs, b in equations)
-        )
+        object.__setattr__(self, "equations", tuple(folded))
 
 
 def gf2_solve(sys: Gf2System) -> Optional[Dict[Hashable, int]]:
@@ -336,7 +344,7 @@ _H_BLACK = _mask_of((1, 3, 4))
 def solve_h1(inst: Instance) -> Optional[Solution]:
     """Region decomposition against the canonical 6-vertex unbalanced cycle
     target: side assignment, arc consistency, boundary grounding on {b, w},
-    and one GF(2) system per component tying region choices to boundary
+    and one parity walk per component tying region choices to boundary
     switchings."""
     g = inst.g
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
@@ -354,7 +362,7 @@ def _solve_h1_component(
 ) -> Optional[List[Tuple[int, int, int]]]:
     """comp in increasing order; red[v] lists v's neighbours in increasing
     order, each with 1 for a red edge."""
-    hw = {v: bool(masks[v] & _H_WHITE) for v in comp}
+    hw = {v: int(masks[v] & _H_WHITE != 0) for v in comp}
     boundary = [v for v in comp if masks[v] & 0b001001]
     ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
     interior = [v for v in comp if v not in ground]
@@ -367,75 +375,44 @@ def _solve_h1_component(
         return None
     sigma, regions = found
 
-    variables: List[Hashable] = [("s", a) for a in boundary]
-    equations: List[Tuple[FrozenSet[Hashable], int]] = []
-    records = []
-
-    def add_eq(vs: Iterable[Hashable], bit: int) -> None:
-        sym: set = set()
-        for v in vs:
-            sym ^= {v}
-        equations.append((frozenset(sym), bit))
-
+    # Every edge from a region to a ground vertex maps onto a blue edge of H1
+    # (0-1, 0-4, 2-3 or 3-5), so a region vertex k of class hw[k] switches by
+    # sigma[k] ^ c and each ground neighbour across an edge of red parity r by
+    # r ^ sigma[k] ^ c, where c is one bit per (region, class): the bit of
+    # node len(boundary) + 2 * ridx + hw[k] in a walk whose first nodes are
+    # the boundary vertices. A region's own edges then ask for equal class
+    # bits on the long side {1, 2} and, across the red edge, unequal ones on
+    # the short side {4, 5}. A region that fits one side only is tied to it;
+    # one that fits both takes the long side unless ground vertices of both
+    # classes decide.
+    slot = {a: i for i, a in enumerate(boundary)}
+    ties: List[Tuple[int, int, int]] = []
     for ridx, region in enumerate(regions):
-        region.sort()
-        t_ok = all(masks[k] >> (2 if hw[k] else 1) & 1 for k in region)
-        s_ok = all(masks[k] >> (5 if hw[k] else 4) & 1 for k in region)
+        t_ok = all(masks[k] >> (1 + hw[k]) & 1 for k in region)
+        s_ok = all(masks[k] >> (4 + hw[k]) & 1 for k in region)
         if not t_ok and not s_ok:
             return None
-        first: Dict[int, Tuple[int, int]] = {}
+        node = len(boundary) + 2 * ridx
+        touched = set()
         for k in region:
             for a, r in red[k]:
-                if a not in ground:
-                    continue
-                a_e = r ^ sigma[k]
-                cls = 0 if ground[a] == 0 else 1
-                if cls not in first:
-                    first[cls] = (a, a_e)
-                else:
-                    a0, e0 = first[cls]
-                    add_eq([("s", a), ("s", a0)], a_e ^ e0)
-        free = t_ok and s_ok
-        if free:
-            variables.append(("z", ridx))
-        if 0 in first and 1 in first:
-            (ab, eb), (aw, ew) = first[0], first[1]
-            vs: List[Hashable] = [("s", ab), ("s", aw)]
-            bit = eb ^ ew
-            if free:
-                vs.append(("z", ridx))
-            elif s_ok:
-                bit ^= 1
-            add_eq(vs, bit)
-        records.append((region, t_ok, s_ok, free, first))
+                if a in ground:
+                    ties.append((slot[a], node + hw[k], r ^ sigma[k]))
+                    touched.add(hw[k])
+        if t_ok != s_ok or len(touched) < 2:
+            ties.append((node, node + 1, not t_ok))
 
-    sol = gf2_solve(Gf2System(variables, equations))
-    if sol is None:
+    size = len(boundary) + 2 * len(regions)
+    found = _parity_walk(_parity_lists(size, ties), range(size))
+    if found is None:
         return None
-    out: List[Tuple[int, int, int]] = []
-    for a in boundary:
-        out.append((a, ground[a], sol[("s", a)]))
-    for ridx, (region, t_ok, s_ok, free, first) in enumerate(records):
-        if free:
-            use_t = sol[("z", ridx)] == 0
-        else:
-            use_t = t_ok
-        cb = None
-        cw = None
-        if 0 in first:
-            a0, e0 = first[0]
-            cb = e0 ^ sol[("s", a0)]
-        if 1 in first:
-            a0, e0 = first[1]
-            cw = e0 ^ sol[("s", a0)]
-        if use_t:
-            tau = cb if cb is not None else (cw if cw is not None else 0)
-            for k in region:
-                out.append((k, 2 if hw[k] else 1, sigma[k] ^ tau))
-        else:
-            d = cw if cw is not None else (1 ^ cb if cb is not None else 0)
-            for k in region:
-                out.append((k, 5 if hw[k] else 4, sigma[k] ^ (0 if hw[k] else 1) ^ d))
+    bit = found[0]
+    out = [(a, ground[a], bit[slot[a]]) for a in boundary]
+    for ridx, region in enumerate(regions):
+        node = len(boundary) + 2 * ridx
+        side = 1 if bit[node] == bit[node + 1] else 4
+        for k in region:
+            out.append((k, side + hw[k], sigma[k] ^ bit[node + hw[k]]))
     return out
 
 

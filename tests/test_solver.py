@@ -87,6 +87,9 @@ def test_gf2_examples():
     infeasible = Gf2System(("x", "y"), ((("x",), 0), (("x", "y"), 0), (("y",), 1)))
     assert gf2_solve(infeasible) is None
     assert gf2_solve(Gf2System((), ())) == {}
+    # A variable listed twice cancels, as in GF(2) arithmetic.
+    assert gf2_solve(Gf2System(("x", "y"), ((("x", "y", "x"), 1),))) == {"x": 0, "y": 1}
+    assert gf2_solve(Gf2System(("x",), ((("x", "x"), 1),))) is None
 
 
 def test_gf2_free_variables_default_to_zero():
@@ -214,6 +217,33 @@ def test_solve_h1_frozen_examples():
     )
     sol = solve_h1(Instance(glued, full_lists(7, h)))
     assert sol is not None
+
+    # Ground vertices 0 (list {0}) and 3 (list {3}) join two regions. Region
+    # {1, 2} fits the short side only and its path holds one red edge; region
+    # {4, 5} fits both sides, but its path holds one red edge too, so the
+    # cycle through both has even sign and {4, 5} must go short as well.
+    forced = SignedGraph(
+        6,
+        [(0, 1, BLUE), (1, 2, RED), (2, 3, BLUE),
+         (0, 4, BLUE), (4, 5, RED), (5, 3, BLUE)],
+    )
+    forced_lists = [[0], [4], [5], [3], [1, 4], [2, 5]]
+    # Region {1, 2} alone: short-only, touching both ground classes.
+    short_only = SignedGraph(4, [(0, 1, BLUE), (1, 2, RED), (2, 3, BLUE)])
+    # Region {1, 2, 3} meets ground vertex 0 from 1 and from 3 across a cycle
+    # of odd sign, which no side of H1 can take.
+    twice = SignedGraph(4, [(0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, RED)])
+    for g, lists, feasible in (
+        (forced, forced_lists, True),
+        (short_only, forced_lists[:4], True),
+        (twice, [[0], [1, 4], [2, 5], [1, 4]], False),
+    ):
+        inst = Instance(g, lists)
+        sol = solve_h1(inst)
+        assert (sol is not None) == feasible == (solve_oracle(inst, h) is not None)
+        if sol is not None:
+            assert check_solution(inst, h, sol) == []
+    assert solve_h1(Instance(forced, forced_lists)).mapping == (0, 4, 5, 3, 4, 5)
 
 
 def test_solve_ordered_validates_its_inputs():
