@@ -121,14 +121,14 @@ def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
     if any(len(a) != 2 for a in uni):
         return None
     order = [0, min(uni[0])]
+    # Every vertex of a simple 2-regular graph lies on one cycle, so the walk
+    # from 0 returns to 0; it spans g only when g is one cycle.
     while True:
         prev, cur = order[-2], order[-1]
         nxt = [w for w in uni[cur] if w != prev]
         if nxt[0] == 0:
             break
         order.append(nxt[0])
-        if len(order) > g.n:
-            return None
     if len(order) != g.n:
         return None
     bit = 0

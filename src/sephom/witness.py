@@ -1,10 +1,16 @@
-"""Hardness witnesses: chains, invertible pairs, and chains read off 4-cycle patterns."""
+"""Hardness witnesses: chains, invertible pairs, and chains read off 4-cycle patterns.
+
+Both witnesses are searched for in one pair digraph of (u_i, d_i) states,
+with one step rule (``_steps``): one breadth-first search (``_shortest``)
+finds chains and the invertible pair's walks, and strong components pick
+the pair.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .sgcore import BICOLOURED, SignedGraph, _bits, bipartition
 
@@ -69,47 +75,68 @@ def verify_chain(g: SignedGraph, c: Chain) -> bool:
     return True
 
 
+State = Tuple[int, int]
+
+
+def _steps(mask: List[int], x: int, y: int) -> List[State]:
+    """Pair-digraph steps (x, y) -> (x', y') with xx' and yy' in ``mask``
+    and yx' not, in ascending order."""
+    return [(xp, yp) for xp in _bits(mask[x] & ~mask[y]) for yp in _bits(mask[y])]
+
+
+def _shortest(
+    starts: Iterable[State],
+    successors: Callable[[State], Iterable[State]],
+    goal: Callable[[State], bool],
+) -> Optional[List[State]]:
+    """States of a shortest walk from a start to a goal state, by
+    breadth-first search; ties go to the earliest start and successor.
+    The queue is FIFO, so testing the goal when a state is queued finds the
+    state a test on dequeue would find, with the same parent."""
+    parent: Dict[State, Optional[State]] = {}
+    queue: deque = deque()
+    found = ((s, None) for s in starts)
+    while True:
+        for s, p in found:
+            if s in parent:
+                continue
+            parent[s] = p
+            if goal(s):
+                path = [s]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(s)
+        if not queue:
+            return None
+        head = queue.popleft()
+        found = ((s, head) for s in successors(head))
+
+
 def find_chain(g: SignedGraph) -> Optional[Chain]:
-    """Shortest chain via breadth-first search on (u_i, d_i) states."""
-    n = g.n
+    """Shortest chain via breadth-first search on (u_i, d_i) states: an
+    interior step is an edge step or a bicoloured step of the pair digraph."""
     uni = _uni_masks(g)
     bic = g.bic_mask
     adj = g.adj_mask
-    parent: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    origin: Dict[Tuple[int, int], int] = {}
-    queue: deque = deque()
-    for u in range(n):
+    origin: Dict[State, int] = {}
+    for u in range(g.n):
         for x in _bits(uni[u]):
             for y in _bits(bic[u]):
-                if (x, y) not in parent:
-                    parent[(x, y)] = None
-                    origin[(x, y)] = u
-                    queue.append((x, y))
-
-    def reconstruct(state: Tuple[int, int], v: int) -> Chain:
-        states = [state]
-        while parent[states[-1]] is not None:
-            states.append(parent[states[-1]])
-        states.reverse()
-        u = origin[states[0]]
-        return Chain(
-            U=(u,) + tuple(x for x, _ in states) + (v,),
-            D=(u,) + tuple(y for _, y in states) + (v,),
-        )
-
-    while queue:
-        x, y = queue.popleft()
-        accept = bic[x] & uni[y]
-        if accept:
-            return reconstruct((x, y), next(_bits(accept)))
-        succ_edge = [(xp, yp) for xp in _bits(adj[x] & ~adj[y]) for yp in _bits(adj[y])]
-        succ_bic = [(xp, yp) for xp in _bits(bic[x] & ~bic[y]) for yp in _bits(bic[y])]
-        for state in sorted(set(succ_edge) | set(succ_bic)):
-            if state not in parent:
-                parent[state] = (x, y)
-                origin[state] = origin[(x, y)]
-                queue.append(state)
-    return None
+                origin.setdefault((x, y), u)
+    path = _shortest(
+        origin,
+        lambda s: sorted(set(_steps(adj, *s)) | set(_steps(bic, *s))),
+        lambda s: bic[s[0]] & uni[s[1]] != 0,
+    )
+    if path is None:
+        return None
+    x, y = path[-1]
+    u, v = origin[path[0]], next(_bits(bic[x] & uni[y]))
+    return Chain(
+        U=(u,) + tuple(x for x, _ in path) + (v,),
+        D=(u,) + tuple(y for _, y in path) + (v,),
+    )
 
 
 def verify_invertible_pair(g: SignedGraph, p: InvertiblePair) -> bool:
@@ -133,122 +160,69 @@ def verify_invertible_pair(g: SignedGraph, p: InvertiblePair) -> bool:
 def find_invertible_pair(g: SignedGraph) -> Optional[InvertiblePair]:
     """Smallest pair (a, b) with (a,b) and (b,a) in one strong component of
     the pair digraph; every step constrained, not just the interior ones.
+    The closed walk is two breadth-first searches, (a,b) to (b,a) and back.
 
     States pair distinct vertices from one side of the bipartition, where
     the non-edge arc constraint can never degenerate; steps stay on one
     side, so the restriction is closed. Non-bipartite graphs get none.
     """
     n = g.n
-    adj = g.adj_mask
     part = bipartition(g)
     if part is None:
         return None
-    states = [
-        (x, y)
+    steps = {
+        (x, y): _steps(g.adj_mask, x, y)
         for x in range(n)
         for y in range(n)
         if x != y and part.side(x) == part.side(y)
-    ]
-    index = {s: i for i, s in enumerate(states)}
-
-    def successors(s: Tuple[int, int]) -> List[Tuple[int, int]]:
-        x, y = s
-        return [
-            (xp, yp)
-            for xp in _bits(adj[x] & ~adj[y])
-            for yp in _bits(adj[y])
-            if xp != yp
-        ]
-
-    comp = _tarjan(states, index, successors)
-    best: Optional[Tuple[int, int]] = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (a, b) not in index:
-                continue
-            if comp[index[(a, b)]] == comp[index[(b, a)]]:
-                best = (a, b)
-                break
-        if best:
-            break
+    }
+    # Strong components by Kosaraju, without a reversed digraph: steps
+    # (x,y) -> (x',y') and (y',x') -> (y,x) both say that xx' and yy' are
+    # edges and yx' is not, so the predecessors of (x,y) are the swapped
+    # successors of (y,x).
+    seen: Set[State] = set()
+    order: List[State] = []
+    for root in steps:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(steps[root]))]
+        while stack:
+            s, succ = stack[-1]
+            for t in succ:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, iter(steps[t])))
+                    break
+            else:
+                stack.pop()
+                order.append(s)
+    comp: Dict[State, State] = {}
+    for root in reversed(order):
+        if root in comp:
+            continue
+        comp[root] = root
+        todo = [root]
+        while todo:
+            x, y = todo.pop()
+            for yp, xp in steps[(y, x)]:
+                if (xp, yp) not in comp:
+                    comp[(xp, yp)] = root
+                    todo.append((xp, yp))
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) in comp)
+    best = next(((a, b) for a, b in pairs if comp[(a, b)] == comp[(b, a)]), None)
     if best is None:
         return None
     a, b = best
-
-    def walk(src: Tuple[int, int], dst: Tuple[int, int]) -> List[Tuple[int, int]]:
-        prev: Dict[Tuple[int, int], Tuple[int, int]] = {src: src}
-        queue = deque([src])
-        while queue:
-            s = queue.popleft()
-            for t in successors(s):
-                if t not in prev:
-                    prev[t] = s
-                    if t == dst:
-                        queue.clear()
-                        break
-                    queue.append(t)
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
-    closed = walk((a, b), (b, a)) + walk((b, a), (a, b))[1:]
+    there = _shortest([(a, b)], steps.__getitem__, lambda s: s == (b, a))
+    back = _shortest([(b, a)], steps.__getitem__, lambda s: s == (a, b))
+    closed = there + back[1:]
     return InvertiblePair(
         a=a,
         b=b,
         U=tuple(x for x, _ in closed),
         D=tuple(y for _, y in closed),
     )
-
-
-def _tarjan(states, index, successors) -> List[int]:
-    n = len(states)
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    counter = 0
-    ncomp = 0
-    stack: List[int] = []
-    on_stack = [False] * n
-    for root in range(n):
-        if num[root] != -1:
-            continue
-        work = [(root, iter(successors(states[root])))]
-        num[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for s in it:
-                w = index[s]
-                if num[w] == -1:
-                    num[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors(states[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
 
 
 def chain_of_alternating_4cycle(t: Tuple[int, int, int, int]) -> Chain:

@@ -23,7 +23,12 @@ from sephom import (
 )
 from sephom.files import COLOUR_SYMBOLS, ParseError
 from sephom.hardness import QuadCsp
-from sephom.ordering import Ordering, ordering_for_cycle_target
+from sephom.ordering import (
+    Ordering,
+    ordering_for_cycle_target,
+    verify_min_ordering,
+    verify_special,
+)
 from sephom.separable import (
     LEFT,
     LEFT_RIGHT_SEGMENTED,
@@ -155,6 +160,58 @@ def brute_chain_min_steps(g):
                         fresh.append((xp, yp))
         frontier = fresh
         depth += 1
+    return None
+
+
+def brute_invertible_pair(g):
+    """Least (a, b), a < b on one side of ref_bipartition, with (b, a)
+    reachable from (a, b) and (a, b) from (b, a) in the pair digraph, or
+    None; non-bipartite graphs have none.
+
+    A step (x, y) -> (x', y') needs xx' and yy' to be edges and yx' not to
+    be one; each reachability question is its own plain breadth-first search.
+    """
+    part = ref_bipartition(g)
+    if part is None:
+        return None
+
+    def reaches(src, dst):
+        seen = {src}
+        queue = deque([src])
+        while queue:
+            x, y = queue.popleft()
+            for xp in range(g.n):
+                for yp in range(g.n):
+                    step = (
+                        g.adjacent(x, xp)
+                        and g.adjacent(y, yp)
+                        and not g.adjacent(y, xp)
+                    )
+                    if step and (xp, yp) not in seen:
+                        seen.add((xp, yp))
+                        queue.append((xp, yp))
+        return dst in seen
+
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if part.side(a) != part.side(b):
+                continue
+            if reaches((a, b), (b, a)) and reaches((b, a), (a, b)):
+                return (a, b)
+    return None
+
+
+def brute_special_min_ordering(g):
+    """Some special min ordering of g, by trying every pair of class orders
+    with both verifiers; None when there is none or g is not bipartite."""
+    part = ref_bipartition(g)
+    if part is None:
+        return None
+    for black in itertools.permutations(sorted(part.black)):
+        for white in itertools.permutations(sorted(part.white)):
+            o = Ordering(black_order=black, white_order=white)
+            if verify_special(g, o) is None and verify_min_ordering(g, o) is None:
+                return o
     return None
 
 

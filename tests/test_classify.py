@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_path_target, random_relabel, random_switching
+from helpers import (
+    brute_special_min_ordering,
+    random_path_target,
+    random_relabel,
+    random_switching,
+)
 from sephom import (
     BLUE,
     RED,
@@ -19,6 +24,7 @@ from sephom import (
     build_reduction_target,
     classify,
     enum_targets,
+    is_semi_balanced,
     relabel,
     switching_equivalent,
     verdict_dict,
@@ -224,3 +230,29 @@ def test_cycle_verdicts_carry_verified_witnesses():
         bare, (unbalanced_c4, build_reduction_target(5), build_reduction_target(7))
     ):
         assert switching_equivalent(g, h) is not None
+
+
+def test_special_min_orderings_exist_exactly_on_the_polynomial_side():
+    """Every pair of class orders, tried with both verifiers, settles the
+    boundary apart from the segment and template machinery: on a
+    semi-balanced target with n <= 8 a special min ordering exists exactly
+    when classify says P. Three cycle targets outside semi-balance have one
+    too: the unbalanced 4-cycle, H1 and build_reduction_target(5)."""
+    exceptions = []
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 8):
+            found = brute_special_min_ordering(g) is not None
+            if is_semi_balanced(g) is not None:
+                assert found == (classify(g).complexity == POLYNOMIAL)
+            elif found:
+                exceptions.append(g)
+    unbalanced_c4 = SignedGraph(4, [(0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)])
+    pinned = (unbalanced_c4, build_h1(), build_reduction_target(5))
+    assert len(exceptions) == len(pinned)
+    for g, h in zip(exceptions, pinned):
+        assert switching_equivalent(g, h) is not None
+    assert [classify(g).complexity for g in exceptions] == [
+        NP_COMPLETE,
+        POLYNOMIAL,
+        NP_COMPLETE,
+    ]

@@ -65,6 +65,11 @@ def test_path_form_rejects_non_paths():
     assert path_form(SignedGraph(4, [(0, 1, BLUE), (0, 2, BLUE), (0, 3, BLUE)])) is None
     assert path_form(SignedGraph(4, [(0, 1, BLUE), (2, 3, BLUE)])) is None
     assert path_form(SignedGraph(0, [])) is None
+    # A path and a disjoint triangle: the degrees fit, the walk stops short.
+    path_and_cycle = SignedGraph(
+        6, [(0, 1, BLUE), (1, 2, BLUE), (3, 4, BLUE), (4, 5, BLUE), (3, 5, BLUE)]
+    )
+    assert path_form(path_and_cycle) is None
 
 
 def test_path_form_bic_as_positions():
@@ -92,6 +97,11 @@ def test_cycle_form_examples():
 def test_cycle_form_rejects_non_cycles():
     assert cycle_form(blue_path(4)) is None
     assert cycle_form(build_h0().__class__(4, [(0, 1, BLUE), (2, 3, BLUE)])) is None
+    # Two disjoint triangles: 2-regular, but the walk from 0 spans only one.
+    triangles = SignedGraph(
+        6, [(0, 1, BLUE), (1, 2, BLUE), (0, 2, BLUE), (3, 4, BLUE), (4, 5, BLUE), (3, 5, BLUE)]
+    )
+    assert cycle_form(triangles) is None
 
 
 def test_segment_geometry():

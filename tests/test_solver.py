@@ -544,6 +544,28 @@ def test_check_solution_reports_all_violation_kinds():
     non_edge = Solution(mapping=(0, 0), switching=Switching())
     assert check_solution(inst, h, non_edge) != []
 
+    # One case per problem kind, against H1: 0-1-2-3 blue, 0-4 blue,
+    # 4-5 red, 5-3 blue, 0-3 bicoloured.
+    h1 = build_h1()
+    blue = Instance(blue_path(2), full_lists(2, h1))
+    bic = Instance(SignedGraph(2, [(0, 1, BICOLOURED)]), full_lists(2, h1))
+
+    def problems(inst, mapping, flipped=()):
+        return check_solution(inst, h1, Solution(mapping, Switching(flipped)))
+
+    assert problems(blue, (0,)) == ["mapping length 1, expected 2"]
+    assert problems(blue, (0, 1), [2]) == [
+        "switching names a vertex outside the instance"
+    ]
+    assert problems(blue, (0, 6)) == ["vertex 1 mapped outside the target"]
+    listed = Instance(blue_path(2), [[0], [1]])
+    assert problems(listed, (0, 2)) == ["vertex 1 mapped to 2, not in its list"]
+    assert problems(blue, (1, 4)) == ["edge 0 1 maps to a non-edge"]
+    assert problems(bic, (0, 1)) == ["bicoloured edge 0 1 maps to +"]
+    assert problems(bic, (0, 3)) == []
+    assert problems(blue, (4, 5)) == ["edge 0 1 has the wrong image sign"]
+    assert problems(blue, (4, 5), [0]) == []
+
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150)

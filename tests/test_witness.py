@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_chain_exists,
     brute_chain_min_steps,
+    brute_invertible_pair,
     find_4cycle_pair,
     find_alternating_4cycle,
     random_path_target,
@@ -203,9 +204,17 @@ def test_verify_invertible_pair_rejects_tampering():
 @settings(max_examples=100)
 def test_found_invertible_pairs_verify(g):
     ip = find_invertible_pair(g)
+    assert (ip and (ip.a, ip.b)) == brute_invertible_pair(g)
     if ip is not None:
         assert verify_invertible_pair(g, ip)
         assert ip.a < ip.b
+
+
+def test_find_invertible_pair_is_the_least_pair_by_definition():
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 8):
+            ip = find_invertible_pair(g)
+            assert (ip and (ip.a, ip.b)) == brute_invertible_pair(g)
 
 
 def test_witness_dict_forms():
