@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -73,10 +74,12 @@ def _check_ell(ell: int) -> None:
         raise ValueError("need an odd count >= 5")
 
 
+@functools.lru_cache(maxsize=None)
 def build_gadget(ell: int) -> Gadget:
     """Gadget with edge signs solved over GF(2) from the six path-sign
     constraints, then re-verified by walk signs; ValueError when either
-    step fails."""
+    step fails. Built once per ell: the gadget is immutable, and a failed
+    build is not cached."""
     _check_ell(ell)
     b_at, d_at = 3, ell - 3
     variables: List = [("e", i) for i in range(1, ell + 1)] + ["fb", "fd"]

@@ -97,7 +97,9 @@ def path_form(g: SignedGraph) -> Optional[PathForm]:
         return None
     order = [min(ends)]
     prev = -1
-    while len(uni[order[-1]]) > 0:
+    # The walk stays on the unicoloured path from min(ends), whose vertices
+    # all have a neighbour, so it stops only at the far end.
+    while True:
         nxt = [w for w in uni[order[-1]] if w != prev]
         if not nxt:
             break

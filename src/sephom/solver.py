@@ -113,9 +113,10 @@ def _check_lists(inst: Instance, h: SignedGraph) -> None:
         raise ValueError("list value outside the target")
 
 
-# nbrs[w] lists (u, rows) for each neighbour u of w, rows[i] being the
-# support mask in w's domain of u's value i.
-_Nbrs = List[List[Tuple[int, List[int]]]]
+# nbrs[w] lists (u, rows, memo) for each neighbour u of w: rows[j] is the
+# mask of u's values that w's value j supports, and memo maps a mask of w's
+# values to the union of their rows. Edges that share rows share the memo.
+_Nbrs = List[List[Tuple[int, List[int], Dict[int, int]]]]
 
 
 def _propagate(
@@ -132,12 +133,15 @@ def _propagate(
         w = queue.popleft()
         queued.discard(w)
         mw = masks[w]
-        for u, rows in nbrs[w]:
+        for u, rows, memo in nbrs[w]:
+            sup = memo.get(mw)
+            if sup is None:
+                sup = 0
+                for j in _bits(mw):
+                    sup |= rows[j]
+                memo[mw] = sup
             old = masks[u]
-            new = 0
-            for i in _bits(old):
-                if rows[i] & mw:
-                    new |= 1 << i
+            new = old & sup
             if new != old:
                 trail.append((u, old))
                 masks[u] = new
@@ -151,12 +155,15 @@ def _propagate(
 
 def _target_nbrs(g: SignedGraph, h: SignedGraph) -> _Nbrs:
     """Supports over target vertices: a bicoloured edge needs a bicoloured
-    image, any other edge an edge."""
+    image, any other edge an edge. Target adjacency is symmetric, so one
+    table per kind serves both directions of every edge."""
     nbrs: _Nbrs = [[] for _ in range(g.n)]
+    adj = (h.adj_mask, {})
+    bic = (h.bic_mask, {})
     for u, v, c in g.edges:
-        rows = h.bic_mask if c is BICOLOURED else h.adj_mask
-        nbrs[u].append((v, rows))
-        nbrs[v].append((u, rows))
+        rows, memo = bic if c is BICOLOURED else adj
+        nbrs[u].append((v, rows, memo))
+        nbrs[v].append((u, rows, memo))
     return nbrs
 
 
@@ -175,14 +182,16 @@ def arc_consistency(
 
 
 def _lifted_rows(
-    h: SignedGraph, vals_u: List[int], vals_w: List[int], c: EdgeColour
+    h: SignedGraph, vals_w: List[int], vals_u: List[int], c: EdgeColour
 ) -> List[int]:
     """Supports across an edge of colour c between lifted values: value
-    2k + p of a vertex is (its k-th list value, switch bit p)."""
+    2k + p of a vertex is (its k-th list value, switch bit p), and rows[i]
+    is the mask of the lifted values of vals_u that value i of vals_w
+    supports."""
     rows = []
-    for a in vals_u:
+    for a in vals_w:
         even = odd = 0
-        for j, b in enumerate(vals_w):
+        for j, b in enumerate(vals_u):
             col = h.colour(a, b)
             if col is BICOLOURED:
                 even |= 3 << 2 * j
@@ -263,14 +272,17 @@ def solve_oracle(
         return None
     lmask = [_mask_of(l) for l in inst.lists]
     nbrs: _Nbrs = [[] for _ in range(g.n)]
-    # Edges whose ends have equal lists and equal colour share one table.
-    tables: Dict[Tuple[int, int, EdgeColour], List[int]] = {}
+    # Edges whose ends have equal lists and equal colour share one table and
+    # its memo. The colour enters the key as two identity tests, which hash
+    # faster than the enum.
+    tables: Dict[Tuple[int, int, bool, bool], Tuple[List[int], Dict[int, int]]] = {}
     for u, w, c in g.edges:
         for x, y in ((u, w), (w, u)):
-            k = (lmask[x], lmask[y], c)
-            if k not in tables:
-                tables[k] = _lifted_rows(h, vals[x], vals[y], c)
-            nbrs[y].append((x, tables[k]))
+            k = (lmask[x], lmask[y], c is RED, c is BICOLOURED)
+            table = tables.get(k)
+            if table is None:
+                table = tables[k] = (_lifted_rows(h, vals[x], vals[y], c), {})
+            nbrs[x].append((y, *table))
     masks = [(1 << 2 * len(d)) - 1 for d in vals]
     if not _propagate(nbrs, masks, range(g.n), []):
         return None

@@ -14,6 +14,7 @@ from sephom import (
     relabel,
     switching_equivalent,
 )
+from sephom import hardness
 from sephom.cli import run
 from sephom.files import parse_instance, serialize_graph, serialize_instance
 from sephom.solver import Instance, Solution, check_solution
@@ -273,6 +274,9 @@ def test_gadget_verb(tmp_path, capsys):
 
 def test_gadget_self_checks_exit_2(tmp_path, capsys, monkeypatch):
     csp_path = write(tmp_path, "csp.txt", "v p\nv q\nq p q p q\n")
+    # A gadget built by an earlier test would skip the self-checks; failed
+    # builds are not cached, so one clear serves both faults.
+    hardness.build_gadget.cache_clear()
     monkeypatch.setattr("sephom.hardness.gf2_solve", lambda system: None)
     assert run(["gadget", csp_path, "--ell", "5"]) == 2
     assert "no solution" in capsys.readouterr().err

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from helpers import (
+    brute_lhom,
     gadget_images_rigid,
     occurrences_switched_coherently,
     reduction_occurrences,
+    solution_errors,
 )
 from sephom import BLUE, RED, SignedGraph, walk_sign
 from sephom.hardness import (
@@ -18,7 +20,7 @@ from sephom.hardness import (
     csp_solve,
     quad_relation,
 )
-from sephom.solver import check_solution, solve_oracle
+from sephom.solver import Instance, check_solution, solve_oracle
 from sephom.targets import build_reduction_target
 
 TRUE_QUADS = [
@@ -198,3 +200,67 @@ def test_reduction_instances_solve_like_the_csp():
             assert gadget_images_rigid(sol.mapping, len(csp.quads), ell)
             occ = reduction_occurrences(csp, ell)
             assert occurrences_switched_coherently(occ, sol.switching.flipped)
+
+
+def test_build_reduction_builds_each_gadget_once():
+    build_gadget.cache_clear()
+    rng = random.Random(5)
+    names = ("p", "q", "r", "s")
+    for ell in (5, 7, 5, 7):
+        for _ in range(3):
+            quads = [tuple(rng.choice(names) for _ in range(4)) for _ in range(2)]
+            build_reduction(QuadCsp(names, quads), ell)
+    assert build_gadget.cache_info().misses == 2
+
+
+def single_quad_reductions(max_n):
+    """Every single-quadruple reduction instance with at most max_n vertices,
+    one per renaming class of the quadruple, with its target."""
+    for ell in (5, 7):
+        h = build_reduction_target(ell)
+        seen = set()
+        for quad in itertools.product("pqrs", repeat=4):
+            names = {}
+            for x in quad:
+                names.setdefault(x, "pqrs"[len(names)])
+            q = tuple(names[x] for x in quad)
+            if q in seen:
+                continue
+            seen.add(q)
+            inst = build_reduction(QuadCsp(sorted(set(q)), [q]), ell)
+            if inst.g.n <= max_n:
+                yield inst, h
+
+
+def perturbations(inst):
+    """inst with one value removed from one list of two or more values, and
+    with the sign of one edge flipped."""
+    for v, values in enumerate(inst.lists):
+        if len(values) > 1:
+            for a in sorted(values):
+                lists = list(inst.lists)
+                lists[v] = values - {a}
+                yield Instance(inst.g, lists)
+    for i, (u, w, c) in enumerate(inst.g.edges):
+        edges = list(inst.g.edges)
+        edges[i] = (u, w, RED if c is BLUE else BLUE)
+        yield Instance(SignedGraph(inst.g.n, edges), inst.lists)
+
+
+def test_oracle_decides_perturbed_reductions_like_exhaustive_search():
+    # Every flip here leaves a "yes" (on a tree it switches back), so the four
+    # "no" answers all come from list removals on the cycles that link paths
+    # close. A "yes" is checked by both checkers: brute_lhom accepts exactly
+    # the maps and switchings that solution_errors passes, so it would say
+    # "yes" as well.
+    decided = {True: 0, False: 0}
+    for inst, h in single_quad_reductions(12):
+        for p in perturbations(inst):
+            sol = solve_oracle(p, h)
+            if sol is None:
+                assert brute_lhom(p, h) is None
+            else:
+                assert check_solution(p, h, sol) == []
+                assert solution_errors(p, h, sol.mapping, sol.switching.flipped) == []
+            decided[sol is not None] += 1
+    assert decided == {True: 236, False: 4}

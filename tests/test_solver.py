@@ -34,6 +34,7 @@ from sephom import (
 )
 from sephom import sgcore, solver, targets
 from sephom.classify import POLYNOMIAL, classify_path
+from sephom.hardness import QuadCsp, build_reduction
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
     Gf2System,
@@ -170,6 +171,44 @@ def test_solve_oracle_examples():
     h1 = build_h1()
     sol = solve_h1(Instance(bad, full_lists(4, h1)))
     assert sol is not None
+
+
+def test_solve_oracle_frozen_outputs():
+    # Maps, switchings and backtrack counts as the oracle first returned
+    # them. The three-quadruple reduction has many edges sharing one support
+    # table, and the random instance against build_reduction_target(5) is one
+    # of the rare ones that backtracks.
+    reductions = [
+        (QuadCsp("pqrs", ["pqrs"]), 5,
+         (0, 1, 2, 3, 4, 5, 0, 5), [1, 2, 4, 5]),
+        (QuadCsp("pq", ["pqqp", "qppq"]), 7,
+         (0, 1, 2, 3, 4, 5, 6, 7, 0, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 7,
+          1, 6, 1, 2, 3, 4, 5, 6, 1, 6, 1, 2, 3, 4, 5, 6),
+         [4, 5, 6, 7, 8, 10, 11, 12, 13, 19, 28, 29, 30, 31, 32, 33, 34, 35]),
+        (QuadCsp("pqrs", ["pqrs", "qrsp", "rppq"]), 5,
+         (0, 1, 2, 3, 4, 5, 0, 5, 0, 1, 2, 3, 4, 5, 0, 5, 0, 1, 2, 3, 4, 5,
+          0, 5, 1, 4, 1, 2, 3, 4, 1, 1, 2, 3, 4, 1, 1, 2, 3, 4, 4),
+         [1, 2, 4, 5, 7, 9, 10, 12, 13, 14, 16, 19, 35, 36, 37, 38, 39, 40]),
+    ]
+    cases = [
+        (build_reduction(csp, ell), build_reduction_target(ell), mapping, flipped, 0)
+        for csp, ell, mapping, flipped in reductions
+    ]
+    for seed, h, mapping, flipped, backtracks in (
+        (3458, build_reduction_target(5),
+         (7, 2, 1, 4, 3, 6, 1, 1, 3, 3, 3, 0, 0, 0), [2, 5, 6, 11, 12], 2),
+        (70, build_h1(), (0, 1, 3, 4, 0, 0, 0, 0, 0, 3, 3, 2, 4, 5), [1, 3, 6, 12], 0),
+        (161, build_hl(7), (2, 1, 0, 0, 2, 0, 3, 1, 3, 4, 3, 5, 0, 0), [1, 8, 10], 0),
+    ):
+        rng = random.Random(seed)
+        inst = random_instance(rng, 14, h, p_edge=0.18, bipartite=seed % 2 == 0, max_list=h.n)
+        cases.append((inst, h, mapping, flipped, backtracks))
+    for inst, h, mapping, flipped, backtracks in cases:
+        stats = {}
+        sol = solve_oracle(inst, h, stats)
+        assert sol.mapping == mapping
+        assert sorted(sol.switching.flipped) == flipped
+        assert stats == {"backtracks": backtracks}
 
 
 @given(st.integers(min_value=0, max_value=10**9))
