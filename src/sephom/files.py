@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from .sgcore import EdgeColour, SignedGraph
 
@@ -60,33 +60,46 @@ def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
     n = _int_token(head, 1, "a vertex count")
     if n < 0:
         raise _error(head, 1, "vertex count must be nonnegative")
-    edges = []
-    seen = set()
+    colour_of: Dict[Tuple[int, int], EdgeColour] = {}
     rest = []
     for line in lines[1:]:
         tokens = line[2]
         if tokens[0] != "e":
             rest.append(line)
             continue
-        if len(tokens) != 4:
-            raise _error(line, 0, "edge lines are 'e <u> <v> <c>'")
-        u = _int_token(line, 1, "a vertex id")
-        v = _int_token(line, 2, "a vertex id")
-        sym = tokens[3]
-        if sym not in COLOUR_SYMBOLS:
-            raise _error(line, 3, f"edge colour must be one of + - *, got {sym!r}")
-        if not 0 <= u < n:
-            raise _error(line, 1, f"vertex id {u} out of range 0..{n - 1}")
-        if not 0 <= v < n:
-            raise _error(line, 2, f"vertex id {v} out of range 0..{n - 1}")
-        if u == v:
-            raise _error(line, 1, f"loop at vertex {u} not allowed")
+        try:
+            _, a, b, sym = tokens
+            u = int(a)
+            v = int(b)
+            c = COLOUR_SYMBOLS[sym]
+        except (ValueError, KeyError):
+            _reject_edge(line, n)
         key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise _error(line, 1, f"duplicate edge {u}-{v}")
-        seen.add(key)
-        edges.append((key[0], key[1], COLOUR_SYMBOLS[sym]))
-    return SignedGraph(n, edges), rest
+        if not 0 <= key[0] < key[1] < n or key in colour_of:
+            _reject_edge(line, n)
+        colour_of[key] = c
+    return SignedGraph._checked(n, colour_of), rest
+
+
+def _reject_edge(line: Tuple[int, str, List[str]], n: int) -> NoReturn:
+    """Raise the error of an edge line that failed a check, running every
+    check in order so the first failure is the one reported; an edge that
+    passes all the others repeats an earlier one."""
+    tokens = line[2]
+    if len(tokens) != 4:
+        raise _error(line, 0, "edge lines are 'e <u> <v> <c>'")
+    u = _int_token(line, 1, "a vertex id")
+    v = _int_token(line, 2, "a vertex id")
+    sym = tokens[3]
+    if sym not in COLOUR_SYMBOLS:
+        raise _error(line, 3, f"edge colour must be one of + - *, got {sym!r}")
+    if not 0 <= u < n:
+        raise _error(line, 1, f"vertex id {u} out of range 0..{n - 1}")
+    if not 0 <= v < n:
+        raise _error(line, 2, f"vertex id {v} out of range 0..{n - 1}")
+    if u == v:
+        raise _error(line, 1, f"loop at vertex {u} not allowed")
+    raise _error(line, 1, f"duplicate edge {u}-{v}")
 
 
 def parse_graph(text: str) -> SignedGraph:
@@ -112,25 +125,41 @@ def parse_instance(text: str, target_n: int):
     g, rest = _parse_graph_lines(_tokenize(text))
     lists: List[Optional[frozenset]] = [None] * g.n
     for line in rest:
-        tokens = line[2]
-        if tokens[0] != "l":
-            raise _error(line, 0, f"unexpected directive {tokens[0]!r}")
-        if len(tokens) < 2:
-            raise _error(line, 0, "list lines are 'l <v> <t1> <t2> ...'")
-        v = _int_token(line, 1, "a vertex id")
-        if not 0 <= v < g.n:
-            raise _error(line, 1, f"vertex id {v} out of range 0..{g.n - 1}")
-        if lists[v] is not None:
-            raise _error(line, 1, f"duplicate list for vertex {v}")
-        values = []
-        for k in range(2, len(tokens)):
-            t = _int_token(line, k, "a target vertex id")
-            if not 0 <= t < target_n:
-                raise _error(line, k, f"target id {t} out of range 0..{target_n - 1}")
-            values.append(t)
-        lists[v] = frozenset(values)
+        try:
+            kind, head, *tail = line[2]
+            v = int(head)
+            values = frozenset(map(int, tail))
+        except ValueError:
+            _reject_list(line, g.n, target_n, lists)
+        if (
+            kind != "l"
+            or not 0 <= v < g.n
+            or lists[v] is not None
+            or values and (min(values) < 0 or max(values) >= target_n)
+        ):
+            _reject_list(line, g.n, target_n, lists)
+        lists[v] = values
     full = frozenset(range(target_n))
     return Instance(g, tuple(full if l is None else l for l in lists))
+
+
+def _reject_list(line: Tuple[int, str, List[str]], n: int, target_n: int, lists) -> NoReturn:
+    """Raise the error of a list line that failed a check, running every
+    check in order so the first failure is the one reported."""
+    tokens = line[2]
+    if tokens[0] != "l":
+        raise _error(line, 0, f"unexpected directive {tokens[0]!r}")
+    if len(tokens) < 2:
+        raise _error(line, 0, "list lines are 'l <v> <t1> <t2> ...'")
+    v = _int_token(line, 1, "a vertex id")
+    if not 0 <= v < n:
+        raise _error(line, 1, f"vertex id {v} out of range 0..{n - 1}")
+    if lists[v] is not None:
+        raise _error(line, 1, f"duplicate list for vertex {v}")
+    for k in range(2, len(tokens)):
+        t = _int_token(line, k, "a target vertex id")
+        if not 0 <= t < target_n:
+            raise _error(line, k, f"target id {t} out of range 0..{target_n - 1}")
 
 
 def serialize_instance(inst) -> str:

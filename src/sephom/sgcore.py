@@ -42,17 +42,42 @@ class Bipartition:
         return 1 if v in self.black else 0
 
 
+class _BuiltOnRead:
+    """A mask attribute of SignedGraph: the first read of either mask builds
+    both and stores them on the graph, where they shadow this descriptor.
+    Not functools.cached_property: it writes through the instance
+    ``__dict__``, after which CPython reads every attribute of the graph
+    more slowly."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        g.adj_mask, g.bic_mask = _masks(g.n, g._colour)
+        return getattr(g, self.name)
+
+
 class SignedGraph:
     """An irreflexive signed graph on vertices 0..n-1.
 
     Each unordered vertex pair carries at most one edge record; a bicoloured
     edge stands for a coincident red-blue pair and is a single record.
+
+    ``adj_mask`` and ``bic_mask`` (per-vertex neighbour bitmasks, over all
+    edges and over bicoloured ones) are built on first read and kept: the
+    targets' verifiers and witness searches read them, while an instance
+    graph, which the solvers read only through ``edges`` and ``colour``,
+    never pays their quadratic bit work.
     """
+
+    adj_mask = _BuiltOnRead()
+    bic_mask = _BuiltOnRead()
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, EdgeColour]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         colour_of = {}
         for u, v, c in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -65,24 +90,33 @@ class SignedGraph:
             if key in colour_of:
                 raise ValueError(f"parallel edge records on {key[0]}-{key[1]}")
             colour_of[key] = c
-        self.edges = tuple(sorted((u, v, colour_of[(u, v)]) for u, v in colour_of))
+        self._fill(n, colour_of)
+
+    @classmethod
+    def _checked(cls, n: int, colour_of: Dict[Tuple[int, int], EdgeColour]) -> "SignedGraph":
+        """The graph of a colour map keyed by (u, v) with 0 <= u < v < n,
+        already checked as __init__ checks its edges."""
+        g = cls.__new__(cls)
+        g._fill(n, colour_of)
+        return g
+
+    def _fill(self, n: int, colour_of: Dict[Tuple[int, int], EdgeColour]) -> None:
+        # The one list sized by n made up front: a count too large to hold
+        # fails here at once with MemoryError, not later in a per-vertex list
+        # that some walk grows one vertex at a time.
+        try:
+            [None] * n
+        except OverflowError:
+            raise MemoryError(f"vertex count {n} too large") from None
+        self.n = n
         self._colour = colour_of
-        adj = [0] * n
-        bic = [0] * n
-        for (u, v), c in colour_of.items():
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            if c is BICOLOURED:
-                bic[u] |= 1 << v
-                bic[v] |= 1 << u
-        self.adj_mask = adj
-        self.bic_mask = bic
+        self.edges = tuple([(u, v, c) for (u, v), c in sorted(colour_of.items())])
 
     def colour(self, u: int, v: int) -> Optional[EdgeColour]:
         return self._colour.get((u, v) if u < v else (v, u))
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj_mask[u] >> v & 1)
+        return ((u, v) if u < v else (v, u)) in self._colour
 
     def neighbours(self, v: int):
         return _bits(self.adj_mask[v])
@@ -105,6 +139,21 @@ class SignedGraph:
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={list(self.edges)!r})"
+
+
+def _masks(
+    n: int, colour_of: Dict[Tuple[int, int], EdgeColour]
+) -> Tuple[List[int], List[int]]:
+    """Per-vertex neighbour bitmasks over all edges and over bicoloured ones."""
+    adj = [0] * n
+    bic = [0] * n
+    for (u, v), c in colour_of.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if c is BICOLOURED:
+            bic[u] |= 1 << v
+            bic[v] |= 1 << u
+    return adj, bic
 
 
 def _bits(mask: int):

@@ -222,21 +222,23 @@ def test_solve_alg_ordered_rejects_h1(tmp_path, capsys):
 
 
 # n * 8 > sys.maxsize: CPython refuses the vertex list before allocating it.
-OVERSIZED = "sg 2000000000000000000\n"
+# The second count is above sys.maxsize itself, so no list length can hold it.
+OVERSIZED = ("sg 2000000000000000000\n", "sg 99999999999999999999999\n")
 
 
 def test_oversized_vertex_counts_exit_2(tmp_path, capsys):
-    big = write(tmp_path, "big.sg", OVERSIZED)
-    rc = run(["classify", big])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == "error: out of memory\n"
-    rc = run(["solve", target_file(tmp_path, blue_path(2)), big])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == "error: out of memory\n"
+    for header in OVERSIZED:
+        big = write(tmp_path, "big.sg", header)
+        rc = run(["classify", big])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+        rc = run(["solve", target_file(tmp_path, blue_path(2)), big])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 def test_witness_verb(tmp_path, capsys):

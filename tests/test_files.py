@@ -1,10 +1,18 @@
 """Text formats: graphs, instances, quadruple CSPs, and their error positions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_parse_graph, ref_parse_instance, ref_parse_quadcsp, signed_graph_st
+from helpers import (
+    random_instance,
+    ref_parse_graph,
+    ref_parse_instance,
+    ref_parse_quadcsp,
+    signed_graph_st,
+)
 from sephom import build_h1, build_hl
 from sephom.files import (
     ParseError,
@@ -155,3 +163,48 @@ def test_parsers_match_the_column_tracking_references(text):
     assert _outcome(parse_graph, text) == _outcome(ref_parse_graph, text)
     assert _outcome(parse_instance, text, 3) == _outcome(ref_parse_instance, text, 3)
     assert _outcome(parse_quadcsp, text) == _outcome(ref_parse_quadcsp, text)
+
+
+def _scrambled_text(rng, inst, lists=True):
+    """The instance as text with its edge and list lines shuffled, stray
+    whitespace, comments and blank lines, and mixed LF and CRLF breaks."""
+    body = ["e %d %d %s" % (v, u, c.value) if rng.random() < 0.5 else "e %d %d %s" % (u, v, c.value)
+            for u, v, c in inst.g.edges]
+    if lists:
+        body += ["l %d %s" % (v, " ".join(map(str, l))) for v, l in enumerate(inst.lists) if rng.random() < 0.8]
+    rng.shuffle(body)
+    lines = ["# scrambled", "sg %d" % inst.g.n]
+    for line in body:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "   ", "# e 0 0 +")))
+        lines.append(rng.choice(("", " ", "\t")) + line.replace(" ", rng.choice((" ", "  ", "\t")))
+                     + rng.choice(("", " ", " # note", "\t#")))
+    return lines
+
+
+@pytest.mark.parametrize("n, p_edge", [(100, 0.4), (1000, 0.02)])
+def test_parsers_match_the_references_on_large_scrambled_texts(n, p_edge):
+    rng = random.Random(n)
+    h = build_hl(5)
+    inst = random_instance(rng, n, h, p_edge=p_edge)
+    for parse, ref, lists, args in (
+        (parse_graph, ref_parse_graph, False, ()),
+        (parse_instance, ref_parse_instance, True, (h.n,)),
+    ):
+        lines = _scrambled_text(rng, inst, lists)
+        text = "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+        found, expected = parse(text, *args), ref(text, *args)
+        if lists:
+            assert found.lists == expected.lists
+            found, expected = found.g, expected.g
+        assert found.edges == expected.edges == inst.g.edges
+        assert found.adj_mask == expected.adj_mask
+        assert found.bic_mask == expected.bic_mask
+        assert all(found.colour(u, v) is expected.colour(u, v) for u in range(n) for v in range(n))
+        # One error on the last line: an edge that repeats an earlier one.
+        u, v, c = inst.g.edges[-1]
+        bad = text + "e\t%d  %d %s  # again\n" % (v, u, c.value)
+        with pytest.raises(ParseError, match="duplicate edge") as e:
+            parse(bad, *args)
+        assert _outcome(parse, bad, *args) == _outcome(ref, bad, *args)
+        assert (e.value.line, e.value.col) == (len(lines) + 1, 3)

@@ -39,6 +39,7 @@ from sephom import (
     switching_equivalent,
     walk_sign,
 )
+from sephom.files import parse_graph, serialize_graph
 from sephom.sgcore import _parity_lists, _parity_walk
 
 
@@ -78,6 +79,27 @@ def test_accessors():
     assert sorted(g.neighbours(0)) == [1, 3, 4]
     assert [(u, v) for u, v, c in g.unicoloured_edges() if c is RED] == [(4, 5)]
     assert g.bicoloured_edges() == [(0, 3)]
+
+
+@given(signed_graph_st())
+@settings(max_examples=150)
+def test_masks_built_on_first_read_match_the_edges(g):
+    adj = [0] * g.n
+    bic = [0] * g.n
+    for u, v, c in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if c is BICOLOURED:
+            bic[u] |= 1 << v
+            bic[v] |= 1 << u
+    parsed = parse_graph(serialize_graph(g))
+    for graph in (g, parsed):
+        assert graph.adj_mask == adj
+        assert graph.bic_mask == bic
+        assert graph.adj_mask is graph.adj_mask
+        for u in range(g.n):
+            assert sorted(graph.neighbours(u)) == [v for v in range(g.n) if adj[u] >> v & 1]
+            assert all(graph.adjacent(u, v) == bool(adj[u] >> v & 1) for v in range(g.n))
 
 
 def test_switching_flips_unicoloured_edges_with_one_flipped_endpoint():

@@ -34,6 +34,7 @@ from sephom import (
 )
 from sephom import sgcore, solver, targets
 from sephom.classify import POLYNOMIAL, classify_path
+from sephom.files import parse_instance
 from sephom.hardness import QuadCsp, build_reduction
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
@@ -463,6 +464,39 @@ def test_side_loop_is_linear_in_the_number_of_components():
                 best[n][k] = min(best[n][k], took(fs[k]))
     for small, large in zip(best[10_000], best[40_000]):
         assert large / small < 8
+
+
+def test_a_large_path_instance_never_builds_its_masks(monkeypatch):
+    # Bitmask rows hold one bit per vertex, so building them for an instance
+    # costs time quadratic in n; the solvers read instances only through
+    # edges and colours. Counting the builds, not timing them, keeps this
+    # independent of machine load.
+    n = 100_000
+    built = []
+    build = sgcore._masks
+    monkeypatch.setattr(sgcore, "_masks", lambda size, colour_of: built.append(size) or build(size, colour_of))
+    h = build_hl(5)
+    nbrs = [list(h.neighbours(a)) for a in range(h.n)]
+    rng = random.Random(13)
+    img = [0]
+    for _ in range(n - 1):
+        img.append(rng.choice(nbrs[img[-1]]))
+    flip = [rng.randrange(2) for _ in range(n)]
+    lines = ["sg %d" % n]
+    for v in range(n - 1):
+        c = h.colour(img[v], img[v + 1])
+        if c is BICOLOURED:
+            c = rng.choice((BLUE, RED, BICOLOURED))
+        elif flip[v] != flip[v + 1]:
+            c = RED if c is BLUE else BLUE
+        lines.append("e %d %d %s" % (v, v + 1, c.value))
+    lines.extend("l %d %d %d" % (v, img[v], rng.randrange(h.n)) for v in range(n))
+    inst = parse_instance("\n".join(lines), h.n)
+    sol = solve(h, inst, "auto")
+    assert sol is not None
+    assert check_solution(inst, h, sol) == []
+    assert built and n not in built
+    assert "adj_mask" not in vars(inst.g) and "bic_mask" not in vars(inst.g)
 
 
 def right_segmented_path():
