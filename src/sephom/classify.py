@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .sgcore import SignedGraph, bipartition
+from .sgcore import SignedGraph, _inverse, bipartition
 from . import ordering as ordering_mod
 from . import separable
 from . import targets
@@ -57,9 +57,7 @@ def _classify_path(g: SignedGraph, p: separable.PathForm) -> Verdict:
 
 
 def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
-    inv = [0] * len(phi)
-    for v, image in enumerate(phi):
-        inv[image] = v
+    inv = _inverse(phi)
     return Ordering(
         black_order=tuple(inv[a] for a in o.black_order),
         white_order=tuple(inv[a] for a in o.white_order),

@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
-from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching
+from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits
 from .classify import POLYNOMIAL, classify, verdict_dict
 from .files import parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
 from .hardness import build_reduction
@@ -20,77 +20,38 @@ def enum_targets(kind: str, max_n: int) -> Iterator[SignedGraph]:
     if kind == "path":
         if max_n > 14:
             raise ValueError("path enumeration capped at 14 vertices")
-        yield from _enum_paths(max_n)
+        for n in range(1, max_n + 1):
+            chords = [(i, j) for i in range(n) for j in range(i + 3, n, 2)]
+            reflect = [n - 1 - i for i in range(n)]
+            yield from _classes(n, chords, [reflect], [[(i, i + 1, BLUE) for i in range(n - 1)]])
     elif kind == "cycle":
         if max_n > 12:
             raise ValueError("cycle enumeration capped at 12 vertices")
-        yield from _enum_cycles(max_n)
+        for n in range(4, max_n + 1, 2):
+            # Chords join ring positions an odd distance of 3 to n - 3 apart.
+            chords = [(i, j) for i in range(n) for j in range(i + 3, min(n, i + n - 2), 2)]
+            dihedral = [[(r + s * i) % n for i in range(n)] for r in range(n) for s in (1, -1)]
+            ring = [(i, i + 1, BLUE) for i in range(n - 1)]
+            yield from _classes(n, chords, dihedral, [ring + [(0, n - 1, c)] for c in (BLUE, RED)])
     else:
         raise ValueError("unknown kind %r" % kind)
 
 
-def _min_image(mask: int, perms: List[List[int]]) -> int:
-    best = mask
-    for perm in perms:
-        image = 0
-        m = mask
-        while m:
-            low = m & -m
-            image |= 1 << perm[low.bit_length() - 1]
-            m ^= low
-        if image < best:
-            best = image
-    return best
-
-
-def _enum_paths(max_n: int) -> Iterator[SignedGraph]:
-    for n in range(1, max_n + 1):
-        chords = [(i, j) for i in range(n) for j in range(i + 3, n, 2)]
-        index = {ch: k for k, ch in enumerate(chords)}
-        reflect = [
-            index[(n - 1 - j, n - 1 - i)] for i, j in chords
-        ]
-        spine = [(i, i + 1, BLUE) for i in range(n - 1)]
-        for mask in range(1 << len(chords)):
-            if _min_image(mask, [reflect]) < mask:
-                continue
-            extra = [
-                (chords[k][0], chords[k][1], BICOLOURED)
-                for k in range(len(chords))
-                if mask >> k & 1
-            ]
-            yield SignedGraph(n, spine + extra)
-
-
-def _enum_cycles(max_n: int) -> Iterator[SignedGraph]:
-    for n in range(4, max_n + 1, 2):
-        chords = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = min(j - i, n - (j - i))
-                if d >= 3 and d % 2 == 1:
-                    chords.append((i, j))
-        index = {ch: k for k, ch in enumerate(chords)}
-        perms = []
-        for r in range(n):
-            for flip in (False, True):
-                perm = []
-                for i, j in chords:
-                    a = (r - i) % n if flip else (i + r) % n
-                    b = (r - j) % n if flip else (j + r) % n
-                    perm.append(index[(a, b) if a < b else (b, a)])
-                perms.append(perm)
-        ring = [(i, i + 1, BLUE) for i in range(n - 1)]
-        for mask in range(1 << len(chords)):
-            if _min_image(mask, perms) < mask:
-                continue
-            extra = [
-                (chords[k][0], chords[k][1], BICOLOURED)
-                for k in range(len(chords))
-                if mask >> k & 1
-            ]
-            for last in (BLUE, RED):
-                yield SignedGraph(n, ring + [(0, n - 1, last)] + extra)
+def _classes(
+    n: int, chords: List[Tuple[int, int]], perms: List[List[int]], bases: List[list]
+) -> Iterator[SignedGraph]:
+    """For each set of bicoloured chords, as a mask over chords, that no
+    vertex permutation in perms maps to a smaller mask: one graph per base
+    edge list, in mask order."""
+    index = {ch: k for k, ch in enumerate(chords)}
+    images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in chords] for p in perms]
+    for mask in range(1 << len(chords)):
+        ks = list(_bits(mask))
+        if any(sum(image[k] for k in ks) < mask for image in images):
+            continue
+        extra = [(*chords[k], BICOLOURED) for k in ks]
+        for base in bases:
+            yield SignedGraph(n, base + extra)
 
 
 def _read(path: str) -> str:

@@ -76,49 +76,38 @@ def _check_ell(ell: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def build_gadget(ell: int) -> Gadget:
-    """Gadget with edge signs solved over GF(2) from the six path-sign
-    constraints, then re-verified by walk signs; ValueError when either
-    step fails. Built once per ell: the gadget is immutable, and a failed
-    build is not cached."""
+    """Gadget fixed by one table of six (walk, bit) constraints, each
+    asking the walk to have sign - exactly when bit is 1. The edge signs are
+    solved over GF(2) from the walks' edges, one variable per edge (spine,
+    then the pendants to b and d), and the walks are then re-checked by
+    walk_sign; ValueError when either step fails. Built once per ell: the
+    gadget is immutable, and a failed build is not cached."""
     _check_ell(ell)
     b_at, d_at = 3, ell - 3
-    variables: List = [("e", i) for i in range(1, ell + 1)] + ["fb", "fd"]
-
-    def span(lo: int, hi: int) -> List:
-        return [("e", i) for i in range(lo + 1, hi + 1)]
-
-    equations = [
-        (span(0, b_at) + ["fb"], 0),
-        (span(d_at, ell) + ["fd"], 0),
-        (span(0, ell), 1),
-        (span(0, d_at) + ["fd"], 1),
-        (["fb"] + span(b_at, ell), 1),
-        (["fb"] + span(min(b_at, d_at), max(b_at, d_at)) + ["fd"], 1),
-    ]
-    sol = gf2_solve(Gf2System(variables, equations))
-    if sol is None:
-        raise ValueError("the gadget's path-sign system has no solution")
-    edges = [
-        (i - 1, i, RED if sol[("e", i)] else BLUE) for i in range(1, ell + 1)
-    ]
-    edges.append((b_at, ell + 1, RED if sol["fb"] else BLUE))
-    edges.append((d_at, ell + 2, RED if sol["fd"] else BLUE))
-    graph = SignedGraph(ell + 3, edges)
+    b, d = ell + 1, ell + 2
+    pairs = [(i - 1, i) for i in range(1, ell + 1)] + [(b_at, b), (d_at, d)]
 
     def spine(x: int, y: int) -> List[int]:
         step = 1 if y >= x else -1
         return list(range(x, y + step, step))
 
-    checks = [
-        (spine(0, b_at) + [ell + 1], "+"),
-        (spine(ell, d_at) + [ell + 2], "+"),
-        (spine(0, ell), "-"),
-        (spine(0, d_at) + [ell + 2], "-"),
-        ([ell + 1] + spine(b_at, ell), "-"),
-        ([ell + 1] + spine(b_at, d_at) + [ell + 2], "-"),
+    table = [
+        (spine(0, b_at) + [b], 0),
+        (spine(ell, d_at) + [d], 0),
+        (spine(0, ell), 1),
+        (spine(0, d_at) + [d], 1),
+        ([b] + spine(b_at, ell), 1),
+        ([b] + spine(b_at, d_at) + [d], 1),
     ]
-    for walk, want in checks:
-        if walk_sign(graph, walk) != want:
+    equations = [
+        ([(min(u, v), max(u, v)) for u, v in zip(walk, walk[1:])], bit) for walk, bit in table
+    ]
+    sol = gf2_solve(Gf2System(pairs, equations))
+    if sol is None:
+        raise ValueError("the gadget's path-sign system has no solution")
+    graph = SignedGraph(ell + 3, [(u, v, RED if sol[u, v] else BLUE) for u, v in pairs])
+    for walk, bit in table:
+        if walk_sign(graph, walk) != "+-"[bit]:
             raise ValueError("gadget walk %s has the wrong sign" % walk)
 
     lists: List[FrozenSet[int]] = []
@@ -126,17 +115,10 @@ def build_gadget(ell: int) -> Gadget:
         if i in (0, ell):
             lists.append(frozenset((i,)))
         else:
-            lists.append(frozenset((i, ell + 1 if i % 2 else ell + 2)))
+            lists.append(frozenset((i, b if i % 2 else d)))
     lists.append(frozenset((0,)))
     lists.append(frozenset((ell,)))
-    return Gadget(
-        graph=graph,
-        lists=tuple(lists),
-        a=0,
-        b=ell + 1,
-        c=ell,
-        d=ell + 2,
-    )
+    return Gadget(graph=graph, lists=tuple(lists), a=0, b=b, c=ell, d=d)
 
 
 def build_reduction(csp: QuadCsp, ell: int) -> Instance:

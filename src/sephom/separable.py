@@ -80,6 +80,18 @@ def _bic_positions(g: SignedGraph, order: Tuple[int, ...]) -> FrozenSet[Tuple[in
     return frozenset(pairs)
 
 
+def _trace(uni: List[List[int]], first: int) -> Tuple[int, ...]:
+    """The walk along uni from first towards its least neighbour that never
+    steps straight back, up to a vertex with no other neighbour or back at
+    first."""
+    order = [first, min(uni[first])]
+    while True:
+        nxt = [w for w in uni[order[-1]] if w != order[-2]]
+        if not nxt or nxt[0] == first:
+            return tuple(order)
+        order.append(nxt[0])
+
+
 def path_form(g: SignedGraph) -> Optional[PathForm]:
     """The spanning unicoloured path of g, if one exists.
 
@@ -95,20 +107,12 @@ def path_form(g: SignedGraph) -> Optional[PathForm]:
     ends = [v for v in range(g.n) if len(uni[v]) == 1]
     if len(ends) != 2 or any(len(a) > 2 for a in uni):
         return None
-    order = [min(ends)]
-    prev = -1
-    # The walk stays on the unicoloured path from min(ends), whose vertices
-    # all have a neighbour, so it stops only at the far end.
-    while True:
-        nxt = [w for w in uni[order[-1]] if w != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
+    # The walk from the end min(ends) stays on its path, so it stops only at
+    # the far end.
+    order = _trace(uni, min(ends))
     if len(order) != g.n:
         return None
-    order_t = tuple(order)
-    return PathForm(order_t, _bic_positions(g, order_t))
+    return PathForm(order, _bic_positions(g, order))
 
 
 def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
@@ -122,23 +126,16 @@ def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
     uni = _uni_adjacency(g)
     if any(len(a) != 2 for a in uni):
         return None
-    order = [0, min(uni[0])]
     # Every vertex of a simple 2-regular graph lies on one cycle, so the walk
     # from 0 returns to 0; it spans g only when g is one cycle.
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = [w for w in uni[cur] if w != prev]
-        if nxt[0] == 0:
-            break
-        order.append(nxt[0])
+    order = _trace(uni, 0)
     if len(order) != g.n:
         return None
     bit = 0
     for i, u in enumerate(order):
         v = order[(i + 1) % g.n]
         bit ^= g.colour(u, v) is RED
-    order_t = tuple(order)
-    return CycleForm(order_t, "-" if bit else "+", _bic_positions(g, order_t))
+    return CycleForm(order, "-" if bit else "+", _bic_positions(g, order))
 
 
 def find_segments(p: PathForm) -> List[Segment]:

@@ -184,6 +184,14 @@ def relabel(g: SignedGraph, phi: Sequence[int]) -> SignedGraph:
     return SignedGraph(g.n, [(phi[u], phi[v], c) for u, v, c in g.edges])
 
 
+def _inverse(phi: Sequence[int]) -> List[int]:
+    """The inverse of a permutation of 0..len(phi)-1."""
+    inv = [0] * len(phi)
+    for v, image in enumerate(phi):
+        inv[image] = v
+    return inv
+
+
 def walk_sign(g: SignedGraph, walk: Sequence[int], bic_signs: Sequence[str] = ()) -> str:
     """Sign of a walk: product of step signs, bicoloured steps as chosen.
 
@@ -309,53 +317,59 @@ def switching_equivalent(
         return None
 
     def signature(gr: SignedGraph, v: int) -> Tuple[int, int]:
-        bic = bin(gr.bic_mask[v]).count("1")
-        return (bin(gr.adj_mask[v]).count("1") - bic, bic)
+        bic = gr.bic_mask[v].bit_count()
+        return (gr.adj_mask[v].bit_count() - bic, bic)
 
     gsig = [signature(g, v) for v in range(n)]
     hsig = [signature(h, v) for v in range(n)]
     if sorted(gsig) != sorted(hsig):
         return None
 
+    # Depth-first over v = 0, 1, ..., trying images w in increasing order:
+    # w fits v when its edges and bicoloured edges into the images placed so
+    # far are the images of v's edges into 0..v-1. placed is the mask of
+    # those images, and start[v] the next w to try at v.
     phi = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> Optional[Tuple[Tuple[int, ...], Switching]]:
+    start = [0] * (n + 1)
+    placed = 0
+    v = 0
+    while True:
+        w = n
         if v == n:
             mapped = relabel(g, phi)
             s_img = _switching(
                 mapped,
-                ((u, v, c is not h.colour(u, v)) for u, v, c in mapped.edges if c is not BICOLOURED),
+                ((u, x, c is not h.colour(u, x)) for u, x, c in mapped.edges if c is not BICOLOURED),
                 range(n),
             )
-            if s_img is None:
-                return None
-            s = Switching(u for u in range(n) if phi[u] in s_img.flipped)
-            return tuple(phi), s
-        for w in range(n):
-            if used[w] or gsig[v] != hsig[w]:
-                continue
-            ok = True
-            for u in range(v):
-                gb = g.bic_mask[v] >> u & 1
-                ga = g.adj_mask[v] >> u & 1
-                hb = h.bic_mask[w] >> phi[u] & 1
-                ha = h.adj_mask[w] >> phi[u] & 1
-                if ga != ha or gb != hb:
-                    ok = False
-                    break
-            if not ok:
-                continue
+            if s_img is not None:
+                return tuple(phi), Switching(u for u in range(n) if phi[u] in s_img.flipped)
+        else:
+            below = (1 << v) - 1
+            adj = sum(1 << phi[u] for u in _bits(g.adj_mask[v] & below))
+            bic = sum(1 << phi[u] for u in _bits(g.bic_mask[v] & below))
+            w = next(
+                (
+                    x
+                    for x in range(start[v], n)
+                    if not placed >> x & 1
+                    and gsig[v] == hsig[x]
+                    and h.adj_mask[x] & placed == adj
+                    and h.bic_mask[x] & placed == bic
+                ),
+                n,
+            )
+        if w < n:
             phi[v] = w
-            used[w] = True
-            found = extend(v + 1)
-            if found is not None:
-                return found
-            phi[v] = -1
-            used[w] = False
-        return None
-
-    return extend(0)
+            placed |= 1 << w
+            start[v] = w + 1
+            v += 1
+            start[v] = 0
+        elif v == 0:
+            return None
+        else:
+            v -= 1
+            placed ^= 1 << phi[v]
 
 
 __all__ = [

@@ -13,8 +13,8 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .sgcore import (
-    BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
-    _switching, is_semi_balanced,
+    BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _inverse, _parity_lists,
+    _parity_walk, _switching, is_semi_balanced,
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
@@ -91,13 +91,9 @@ def gf2_solve(sys: Gf2System) -> Optional[Dict[Hashable, int]]:
     values = [0] * len(idx)
     for c in sorted(pivots, reverse=True):
         mask, bit = pivots[c]
-        acc = bit
-        rest = mask ^ (1 << c)
-        while rest:
-            low = rest & -rest
-            acc ^= values[low.bit_length() - 1]
-            rest ^= low
-        values[c] = acc
+        for k in _bits(mask ^ (1 << c)):
+            bit ^= values[k]
+        values[c] = bit
     return {v: values[i] for v, i in idx.items()}
 
 
@@ -396,14 +392,16 @@ def _solve_h1_component(
     # bits on the long side {1, 2} and, across the red edge, unequal ones on
     # the short side {4, 5}. A region that fits one side only is tied to it;
     # one that fits both takes the long side unless ground vertices of both
-    # classes decide.
+    # classes decide. Every region fits a side: across an interior edge a
+    # long value (1, 2) finds support only in a long value and a short one
+    # (4, 5) only in a short one, so after arc consistency a region has its
+    # long values at every vertex or at none, and likewise its short ones;
+    # no list is empty.
     slot = {a: i for i, a in enumerate(boundary)}
     ties: List[Tuple[int, int, int]] = []
     for ridx, region in enumerate(regions):
         t_ok = all(masks[k] >> (1 + hw[k]) & 1 for k in region)
         s_ok = all(masks[k] >> (4 + hw[k]) & 1 for k in region)
-        if not t_ok and not s_ok:
-            return None
         node = len(boundary) + 2 * ridx
         touched = set()
         for k in region:
@@ -506,9 +504,7 @@ def _translate(
     """A solution against relabel(apply_switching(h, s), phi) as one against h."""
     if sol is None:
         return None
-    inv = [0] * len(phi)
-    for v, image in enumerate(phi):
-        inv[image] = v
+    inv = _inverse(phi)
     mapping = tuple(inv[a] for a in sol.mapping)
     flips = [
         v

@@ -1,5 +1,6 @@
 """The command-line verbs, their exit codes, and the target enumerator."""
 
+import hashlib
 import itertools
 import json
 
@@ -55,6 +56,14 @@ def test_enum_counts_are_cumulative():
     assert [sum(1 for _ in enum_targets("cycle", n)) for n in (4, 6, 8)] == [
         2, 10, 70,
     ]
+    # Order and edges too: the serialized targets hash as they always have.
+    digest = hashlib.sha256()
+    for kind, n in (("path", 9), ("cycle", 10)):
+        for g in enum_targets(kind, n):
+            digest.update(serialize_graph(g).encode())
+    assert digest.hexdigest() == (
+        "bf8e8dd749a5b2bddc863b8fb74616b2ca2fedc2b91f548678d97c0b90c8d31c"
+    )
 
 
 def test_enum_validation():

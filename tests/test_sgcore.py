@@ -297,6 +297,21 @@ def test_switching_equivalent_finds_planted_equivalences(g, bits):
     assert relabel(apply_switching(g, t), list(phi)) == h
 
 
+def test_switching_equivalent_handles_long_paths():
+    # Each vertex is one step of the search, so a search that recursed per
+    # vertex would pass the interpreter's recursion limit here.
+    n = 1200
+    rng = random.Random(7)
+    g = SignedGraph(n, [(i, i + 1, BLUE) for i in range(n - 1)])
+    phi = list(range(n))
+    rng.shuffle(phi)
+    h = relabel(apply_switching(g, Switching(rng.sample(range(n), n // 3))), phi)
+    found = switching_equivalent(g, h)
+    assert found is not None
+    psi, t = found
+    assert relabel(apply_switching(g, t), list(psi)) == h
+
+
 def test_build_h0_shape():
     g = build_h0()
     assert g.n == 4

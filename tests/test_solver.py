@@ -273,10 +273,14 @@ def test_solve_h1_frozen_examples():
     # Region {1, 2, 3} meets ground vertex 0 from 1 and from 3 across a cycle
     # of odd sign, which no side of H1 can take.
     twice = SignedGraph(4, [(0, 1, BLUE), (1, 2, BLUE), (2, 3, BLUE), (0, 3, RED)])
+    # One region, no ground vertex, around a cycle of odd sign: its red
+    # parity walk conflicts before any side is tried.
+    odd_region = SignedGraph(4, [(0, 1, RED), (1, 2, BLUE), (2, 3, BLUE), (0, 3, BLUE)])
     for g, lists, feasible in (
         (forced, forced_lists, True),
         (short_only, forced_lists[:4], True),
         (twice, [[0], [1, 4], [2, 5], [1, 4]], False),
+        (odd_region, [[2, 5], [1, 4], [2, 5], [1, 4]], False),
     ):
         inst = Instance(g, lists)
         sol = solve_h1(inst)
