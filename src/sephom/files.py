@@ -140,7 +140,7 @@ def parse_instance(text: str, target_n: int):
             _reject_list(line, g.n, target_n, lists)
         lists[v] = values
     full = frozenset(range(target_n))
-    return Instance(g, tuple(full if l is None else l for l in lists))
+    return Instance._checked(g, tuple(full if l is None else l for l in lists))
 
 
 def _reject_list(line: Tuple[int, str, List[str]], n: int, target_n: int, lists) -> NoReturn:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .sgcore import SignedGraph, _bits
+from .sgcore import BICOLOURED, SignedGraph, _bits
 from . import separable
 from .separable import PathForm, SegmentedForm
 from .targets import H0, H1, HL
@@ -17,15 +17,63 @@ class Ordering:
     white_order: Tuple[int, ...]
 
 
-def _check_classes(g: SignedGraph, o: Ordering) -> None:
+def _rank_rows(g: SignedGraph, o: Ordering) -> Tuple[List[int], List[int], List[int]]:
+    """place[v], v's index in its class order, and for each vertex its
+    unicoloured and its bicoloured neighbours as bit rows over their places.
+    One pass over the edges, which also checks that every edge crosses the
+    classes; O(n + m) big-int operations."""
     black, white = set(o.black_order), set(o.white_order)
     if len(black) != len(o.black_order) or len(white) != len(o.white_order):
         raise ValueError("ordering repeats a vertex")
     if black & white or black | white != set(range(g.n)):
         raise ValueError("ordering classes do not partition the vertices")
-    for u, v, _ in g.edges:
-        if (u in black) == (v in black):
+    place = [0] * g.n
+    is_black = [False] * g.n
+    for order in (o.white_order, o.black_order):
+        for i, v in enumerate(order):
+            place[v] = i
+    for v in o.black_order:
+        is_black[v] = True
+    bit = [1 << i for i in place]
+    uni = [0] * g.n
+    bic = [0] * g.n
+    for u, v, c in g.edges:
+        if is_black[u] == is_black[v]:
             raise ValueError("edge inside an ordering class")
+        rows = bic if c is BICOLOURED else uni
+        rows[u] |= bit[v]
+        rows[v] |= bit[u]
+    return place, uni, bic
+
+
+def _gaps(row: int) -> int:
+    """Places missing from row below its last place."""
+    return ~row & ((1 << (row.bit_length() - 1)) - 1)
+
+
+def _min_violator(o: Ordering, uni: List[int], bic: List[int]) -> Optional[int]:
+    """The least white x by id with a later white x' adjacent to a black
+    place in gaps(x): the union of the rows of the whites after x, kept
+    while walking the whites backwards, meets gaps(x). O(|W|) big-int
+    operations."""
+    later = 0
+    least = None
+    for x in reversed(o.white_order):
+        nx = uni[x] | bic[x]
+        if nx and later & _gaps(nx) and (least is None or x < least):
+            least = x
+        later |= nx
+    return least
+
+
+def _special_violator(uni: List[int], bic: List[int]) -> Optional[int]:
+    """The least vertex with a bicoloured neighbour placed after its first
+    unicoloured one: a bit of its bicoloured row above the lowest bit of its
+    unicoloured row. O(n) big-int operations."""
+    for v, u in enumerate(uni):
+        if u and bic[v] & -((u & -u) << 1):
+            return v
+    return None
 
 
 def verify_min_ordering(
@@ -34,36 +82,22 @@ def verify_min_ordering(
     """First (x, x', y, y') by vertex id with x < x' white, y < y' black,
     xy' and x'y edges but xy a non-edge; absent when o is a min ordering.
 
-    Each white vertex gets one row, its neighbours as bits by black rank.
-    For a white pair x < x' the violating y are the bits of
-    N(x') & ~N(x) below the last rank in N(x), so the scan costs O(|W|^2)
-    big-int operations, plus O(m) for the rows and O(|B|) to name the
-    reported tuple.
+    The rank-row table costs O(n + m) and the scan for the least violating
+    x O(|W|) big-int operations. Only when the scan finds one are the rest
+    named: x' is the least white by id after x whose row meets gaps(x),
+    O(|W| + |B|).
     """
-    _check_classes(g, o)
+    place, uni, bic = _rank_rows(g, o)
+    x = _min_violator(o, uni, bic)
+    if x is None:
+        return None
     black = o.black_order
-    rank_bit = {y: 1 << r for r, y in enumerate(black)}
-    row = {}
-    for x in o.white_order:
-        bits = 0
-        for y in _bits(g.adj_mask[x]):
-            bits |= rank_bit[y]
-        row[x] = bits
-    place = {x: i for i, x in enumerate(o.white_order)}
-    whites = sorted(o.white_order)
-    for x in whites:
-        nx = row[x]
-        if not nx:
-            continue
-        # Black ranks missing from N(x) with a neighbour of x ranked later.
-        gaps = ~nx & ((1 << (nx.bit_length() - 1)) - 1)
-        for xp in whites:
-            hit = row[xp] & gaps
-            if hit and place[xp] > place[x]:
-                y = min(black[r] for r in _bits(hit))
-                later = nx & -(rank_bit[y] << 1)
-                return (x, xp, y, min(black[r] for r in _bits(later)))
-    return None
+    nx = uni[x] | bic[x]
+    gaps = _gaps(nx)
+    xp = min(w for w in o.white_order[place[x] + 1 :] if (uni[w] | bic[w]) & gaps)
+    y = min(black[r] for r in _bits((uni[xp] | bic[xp]) & gaps))
+    later = nx & -(1 << (place[y] + 1))
+    return (x, xp, y, min(black[r] for r in _bits(later)))
 
 
 def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]]:
@@ -71,25 +105,18 @@ def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]
     bicoloured neighbour comes after the unicoloured one; absent when every
     vertex lists all bicoloured neighbours first.
 
-    A vertex violates exactly when some bicoloured neighbour comes after its
-    earliest unicoloured one, so the scan reads each edge O(1) times: O(m).
+    The rank-row table costs O(n + m) and the scan for the least violating
+    v O(n) big-int operations; naming its two neighbours costs O(deg v).
     """
-    _check_classes(g, o)
-    pos = [0] * g.n
-    for order in (o.white_order, o.black_order):
-        for i, v in enumerate(order):
-            pos[v] = i
-    for v in range(g.n):
-        bic = g.bic_mask[v]
-        uni = g.adj_mask[v] ^ bic
-        if not bic or not uni:
-            continue
-        first_uni = min(pos[y] for y in _bits(uni))
-        for x in _bits(bic):
-            if pos[x] > first_uni:
-                y = next(y for y in _bits(uni) if pos[y] < pos[x])
-                return (v, x, y)
-    return None
+    place, uni, bic = _rank_rows(g, o)
+    v = _special_violator(uni, bic)
+    if v is None:
+        return None
+    other = o.black_order if v in o.white_order else o.white_order
+    u = uni[v]
+    x = min(other[r] for r in _bits(bic[v] & -((u & -u) << 1)))
+    y = min(other[r] for r in _bits(u & ((1 << place[x]) - 1)))
+    return (v, x, y)
 
 
 def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .sgcore import BICOLOURED, RED, SignedGraph
 
@@ -178,24 +178,25 @@ def _backward_closure(ends: Iterable[int]) -> set:
     return {(t, h) for h in ends for t in range(h - 3, -1, -2)}
 
 
-def matching_kinds(p: PathForm) -> dict:
-    """All segmented kinds whose mandated bicoloured set equals p.bic,
-    mapped to the pivot segment where one applies. The Right and Left sets
-    close over the block starts and ends (the segments' sources); only the
-    LeftRight pivot loop reads the segments."""
+def _kinds(p: PathForm) -> Iterator[Tuple[str, Optional[Segment]]]:
+    """Each segmented kind whose mandated bicoloured set equals p.bic, with
+    its pivot segment where one applies, in the precedence order
+    TrivialPath, Right, Left, LeftRight. The Right and Left sets close over
+    the block starts and ends (the segments' sources) in O(n^2); only the
+    LeftRight pivot loop reads the segments, O(segments * n^2), and it runs
+    only when the caller asks past the kinds before it."""
     n = len(p.order)
-    found = {}
     if not p.bic:
-        found[TRIVIAL_PATH] = None
-        return found
+        yield TRIVIAL_PATH, None
+        return
     starts = sorted(i for i, j in p.bic if j == i + 3)
     if any(b - a == 1 for a, b in zip(starts, starts[1:])):
         # Blocks at consecutive positions overlap in an alternating 4-cycle.
-        return found
+        return
     if _forward_closure(starts, n) == p.bic:
-        found[RIGHT_SEGMENTED] = None
+        yield RIGHT_SEGMENTED, None
     if _backward_closure(i + 3 for i in starts) == p.bic:
-        found[LEFT_SEGMENTED] = None
+        yield LEFT_SEGMENTED, None
     for pivot in find_segments(p):
         # Backward edges into the blocks up to the pivot's, forward edges
         # out of the blocks from the pivot's on, and every cross pair.
@@ -207,21 +208,22 @@ def matching_kinds(p: PathForm) -> dict:
             for tgt in range(pivot.end + 2, n, 2)
         }
         if mandated == p.bic:
-            found[LEFT_RIGHT_SEGMENTED] = pivot
-            break
-    return found
+            yield LEFT_RIGHT_SEGMENTED, pivot
+            return
+
+
+def matching_kinds(p: PathForm) -> dict:
+    """All segmented kinds whose mandated bicoloured set equals p.bic,
+    mapped to the pivot segment where one applies."""
+    return dict(_kinds(p))
 
 
 def segmented_form(p: PathForm) -> SegmentedForm:
     """The segmented kind whose mandated bicoloured edge set equals p.bic,
-    with precedence TrivialPath, Right, Left, LeftRight; else NotSegmented."""
-    kinds = matching_kinds(p)
-    for kind in (TRIVIAL_PATH, RIGHT_SEGMENTED, LEFT_SEGMENTED):
-        if kind in kinds:
-            return SegmentedForm(kind)
-    if LEFT_RIGHT_SEGMENTED in kinds:
-        return SegmentedForm(LEFT_RIGHT_SEGMENTED, kinds[LEFT_RIGHT_SEGMENTED])
-    return SegmentedForm(NOT_SEGMENTED)
+    with precedence TrivialPath, Right, Left, LeftRight; else NotSegmented.
+    The first kind that matches decides, so the LeftRight pivot loop runs
+    only when neither closure matches."""
+    return SegmentedForm(*next(_kinds(p), (NOT_SEGMENTED, None)))
 
 
 __all__ = [

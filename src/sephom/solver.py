@@ -18,7 +18,7 @@ from .sgcore import (
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
-from .ordering import Ordering, verify_min_ordering, verify_special
+from .ordering import Ordering, _min_violator, _rank_rows, _special_violator
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,15 @@ class Instance:
             raise ValueError("negative list value")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lists", frozen)
+
+    @classmethod
+    def _checked(cls, g: SignedGraph, lists: Tuple[FrozenSet[int], ...]) -> "Instance":
+        """The instance of one frozen list per vertex of g, its values
+        already checked to be non-negative, as __init__ checks them."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "g", g)
+        object.__setattr__(inst, "lists", lists)
+        return inst
 
 
 @dataclass(frozen=True)
@@ -434,15 +443,18 @@ def solve_ordered(
     arc consistency, then every vertex takes the value of least rank in o
     left in its list, and one parity walk over the unicoloured edges whose
     image is unicoloured finds the switching that gives each its image's
-    sign; a conflict fails the side. stats["backtracks"] stays 0."""
-    if verify_min_ordering(h, o) is not None or verify_special(h, o) is not None:
+    sign; a conflict fails the side. stats["backtracks"] stays 0.
+
+    o is checked as verify_min_ordering and verify_special check it, from
+    one rank-row table: O(n + m) for the table, then O(|W|) and O(n)
+    big-int operations for the two scans."""
+    rank, uni, bic = _rank_rows(h, o)
+    if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
     if is_semi_balanced(h) is None:
         raise ValueError("target is not semi-balanced")
     if stats is not None:
         stats.setdefault("backtracks", 0)
-    rank = {a: i for i, a in enumerate(o.white_order)}
-    rank.update({a: i for i, a in enumerate(o.black_order)})
     g = inst.g
     signed = _parity_lists(
         g.n, ((u, v, c is RED) for u, v, c in g.edges if c is not BICOLOURED)

@@ -36,6 +36,7 @@ from sephom.separable import (
     RIGHT,
     RIGHT_SEGMENTED,
     TRIVIAL_PATH,
+    PathForm,
     find_segments,
 )
 from sephom.sgcore import _bits
@@ -754,6 +755,34 @@ def random_path_target(rng, n, p_chord=0.3):
             if rng.random() < p_chord:
                 edges.append((i, j, BICOLOURED))
     return SignedGraph(n, edges)
+
+
+def random_segmented_path(rng, n):
+    """A blue path on n vertices whose bicoloured edges are the mandated set
+    of a Right, Left or LeftRight layout over random block starts, built
+    from per-segment closures; a trivial path when no block fits."""
+    starts = []
+    i = rng.randrange(3)
+    while i + 3 < n:
+        starts.append(i)
+        i += rng.choice((2, 2, 3, 4, 5))
+    segments = find_segments(PathForm(tuple(range(n)), frozenset((i, i + 3) for i in starts)))
+    layout = rng.choice((RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED))
+    pivot = rng.choice(segments) if segments else None
+    bic = set()
+    for s in segments:
+        if layout == LEFT_SEGMENTED or (layout == LEFT_RIGHT_SEGMENTED and s.start <= pivot.start):
+            bic |= _ref_backward_closure(s)
+        if layout == RIGHT_SEGMENTED or (layout == LEFT_RIGHT_SEGMENTED and s.start >= pivot.start):
+            bic |= _ref_forward_closure(s, n)
+    if layout == LEFT_RIGHT_SEGMENTED and pivot is not None:
+        bic |= {
+            (src, tgt)
+            for src in range(pivot.start - 2, -1, -2)
+            for tgt in range(pivot.end + 2, n, 2)
+        }
+    edges = [(i, i + 1, BLUE) for i in range(n - 1)]
+    return SignedGraph(n, edges + [(a, b, BICOLOURED) for a, b in sorted(bic)])
 
 
 def random_switching(rng, n):

@@ -10,15 +10,20 @@ from helpers import (
     brute_min_ordering_violation,
     brute_special_violation,
     hl61_with_ends_swapped,
+    random_relabel,
+    random_segmented_path,
+    random_switching,
 )
 from sephom import (
     BICOLOURED,
     BLUE,
     RED,
     SignedGraph,
+    apply_switching,
     build_h0,
     build_h1,
     build_hl,
+    classify,
 )
 from sephom.ordering import (
     Ordering,
@@ -192,3 +197,40 @@ def test_large_template_with_swapped_whites_matches_the_references():
     found = verify_special(g, bad)
     assert found is not None
     assert found == brute_special_violation(g, bad)
+
+
+def _one_swap_variants(o):
+    """o with one adjacent pair swapped, in the white or the black order."""
+    for white in (True, False):
+        order = list(o.white_order if white else o.black_order)
+        for i in range(len(order) - 1):
+            order[i], order[i + 1] = order[i + 1], order[i]
+            if white:
+                yield Ordering(o.black_order, tuple(order))
+            else:
+                yield Ordering(tuple(order), o.white_order)
+            order[i], order[i + 1] = order[i + 1], order[i]
+
+
+def test_verifiers_match_the_brute_references_past_twelve_vertices():
+    # Disguised Hl(ell <= 21) and segmented paths with n <= 24, each under
+    # its own ordering and every one-swap variant of it: the scans pass the
+    # own ordering, and the swaps reach the code that names the tuple.
+    rng = random.Random(15)
+    targets = [build_hl(ell) for ell in range(3, 22, 2)]
+    targets += [random_segmented_path(rng, n) for n in range(13, 25) for _ in range(2)]
+    named = [0, 0]
+    for g in targets:
+        g = apply_switching(g, random_switching(rng, g.n))
+        g, _ = random_relabel(rng, g)
+        o = classify(g).ordering
+        assert verify_min_ordering(g, o) is None
+        assert verify_special(g, o) is None
+        for bad in _one_swap_variants(o):
+            found = verify_min_ordering(g, bad)
+            assert found == brute_min_ordering_violation(g, bad)
+            named[0] += found is not None
+            found = verify_special(g, bad)
+            assert found == brute_special_violation(g, bad)
+            named[1] += found is not None
+    assert min(named) > 0

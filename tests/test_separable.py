@@ -21,6 +21,7 @@ from sephom import (
     relabel,
     template_pairs,
 )
+from sephom import separable
 from sephom.separable import (
     LEFT,
     LEFT_RIGHT_SEGMENTED,
@@ -29,7 +30,9 @@ from sephom.separable import (
     RIGHT,
     RIGHT_SEGMENTED,
     TRIVIAL_PATH,
+    PathForm,
     Segment,
+    SegmentedForm,
     cycle_form,
     find_segments,
     matching_kinds,
@@ -144,6 +147,17 @@ def test_matching_kinds_and_precedence():
     assert segmented_form(pf).kind == RIGHT_SEGMENTED
 
 
+def test_a_matching_closure_decides_without_reading_the_segments(monkeypatch):
+    def forbidden(p):
+        raise AssertionError("find_segments called")
+
+    right = path_form(blue_path(8, [(0, 3), (0, 5), (0, 7)]))
+    left = PathForm(right.order, frozenset((7 - b, 7 - a) for a, b in right.bic))
+    monkeypatch.setattr(separable, "find_segments", forbidden)
+    assert segmented_form(right) == SegmentedForm(RIGHT_SEGMENTED)
+    assert segmented_form(left) == SegmentedForm(LEFT_SEGMENTED)
+
+
 def test_mandated_set_must_match_exactly():
     pf = path_form(blue_path(6, [(0, 3), (2, 5)]))
     assert matching_kinds(pf) == {}
@@ -225,14 +239,26 @@ def test_segment_runs_tile_the_block_starts(seed):
     assert set().union(*(s.backward_sources() for s in segs)) == {i + 3 for i in starts}
 
 
+def _precedence_pick(kinds):
+    for kind in (TRIVIAL_PATH, RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED):
+        if kind in kinds:
+            return SegmentedForm(kind, kinds[kind])
+    return SegmentedForm(NOT_SEGMENTED)
+
+
 def test_block_closures_match_the_segment_closures():
     # The canonical path targets with n <= 10 cover all five kinds and ten
-    # LeftRight pivots.
+    # LeftRight pivots. Each also runs reversed (v -> n-1-v), which swaps
+    # Right and Left, so both closures get to decide the segmented form first.
     kinds = set()
     for g in enum_targets("path", 10):
-        pf = path_form(g)
-        assert matching_kinds(pf) == ref_matching_kinds(pf)
-        for s in find_segments(pf):
-            assert segment_leaning(pf, s) == ref_leaning(pf, s)
-        kinds.add(segmented_form(pf).kind)
+        reversed_g = relabel(g, [g.n - 1 - v for v in range(g.n)])
+        for pf in (path_form(g), path_form(reversed_g)):
+            ref = ref_matching_kinds(pf)
+            assert matching_kinds(pf) == ref
+            for s in find_segments(pf):
+                assert segment_leaning(pf, s) == ref_leaning(pf, s)
+            form = segmented_form(pf)
+            assert form == _precedence_pick(ref)
+            kinds.add(form.kind)
     assert len(kinds) == 5

@@ -32,7 +32,7 @@ from sephom import (
     build_reduction_target,
     switching_equivalent,
 )
-from sephom import sgcore, solver, targets
+from sephom import ordering, sgcore, solver, targets
 from sephom.classify import POLYNOMIAL, classify_path
 from sephom.files import parse_instance
 from sephom.hardness import QuadCsp, build_reduction
@@ -608,6 +608,32 @@ def test_solve_classifies_once_and_builds_no_target(monkeypatch):
         sol = solve(target, inst, alg)
         assert classified == [target]
         assert (sol is None) == none
+
+
+def test_solve_ordered_builds_the_rank_rows_once_per_call(monkeypatch):
+    # Both verifier scans read one table; the wrapper stands in for the
+    # table function in the ordering module and in the solver alike.
+    rng = random.Random(6)
+    cases = [disguise(rng, build_hl(ell)) for ell in (3, 9)]
+    cases.append(SignedGraph(8, [(i, i + 1, BLUE) for i in range(7)] + [
+        (i, j, BICOLOURED) for i, j in [(0, 3), (0, 5), (0, 7), (2, 5), (2, 7), (4, 7)]
+    ]))
+    built = []
+    real = ordering._rank_rows
+
+    def counted(g, o):
+        built.append(g)
+        return real(g, o)
+
+    monkeypatch.setattr(ordering, "_rank_rows", counted)
+    monkeypatch.setattr(solver, "_rank_rows", counted)
+    for target in cases:
+        yes = Instance(blue_path(3), full_lists(3, target))
+        for inst in (yes, random_instance(rng, 8, target)):
+            built.clear()
+            sol = solve(target, inst, "ordered")
+            assert built == [target]
+            assert sol is not None or inst is not yes
 
 
 def test_check_solution_reports_all_violation_kinds():
