@@ -131,16 +131,20 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
 
 
 def classify(g: SignedGraph) -> Verdict:
-    """Full dichotomy dispatcher for separable targets."""
-    if bipartition(g) is None:
+    """Full dichotomy dispatcher for separable targets. One pass over the
+    edges finds the spanning path or cycle, whose position parity 2-colours
+    g exactly when every bicoloured pair of positions is an odd distance
+    apart and a cycle has even length. Only a graph with neither form takes
+    the bipartition walk, to tell NonBipartite from a ValueError."""
+    f = separable._form(g)
+    if f is None:
+        if bipartition(g) is None:
+            return Verdict(NP_COMPLETE, "NonBipartite")
+        raise ValueError("unicoloured edges form neither a spanning path nor cycle")
+    path = isinstance(f, separable.PathForm)
+    if not (path or g.n % 2 == 0) or any((b - a) % 2 == 0 for a, b in f.bic):
         return Verdict(NP_COMPLETE, "NonBipartite")
-    p = separable.path_form(g)
-    if p is not None:
-        return _classify_path(g, p)
-    c = separable.cycle_form(g)
-    if c is not None:
-        return _classify_cycle(g, c)
-    raise ValueError("unicoloured edges form neither a spanning path nor cycle")
+    return _classify_path(g, f) if path else _classify_cycle(g, f)
 
 
 def verdict_dict(v: Verdict) -> dict:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .sgcore import BICOLOURED, RED, SignedGraph
 
@@ -62,24 +62,6 @@ class SegmentedForm:
     pivot: Optional[Segment] = None
 
 
-def _uni_adjacency(g: SignedGraph) -> List[List[int]]:
-    adj: List[List[int]] = [[] for _ in range(g.n)]
-    for u, v, c in g.edges:
-        if c is not BICOLOURED:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
-
-
-def _bic_positions(g: SignedGraph, order: Tuple[int, ...]) -> FrozenSet[Tuple[int, int]]:
-    pos = {v: i for i, v in enumerate(order)}
-    pairs = set()
-    for u, v in g.bicoloured_edges():
-        a, b = pos[u], pos[v]
-        pairs.add((a, b) if a < b else (b, a))
-    return frozenset(pairs)
-
-
 def _trace(uni: List[List[int]], first: int) -> Tuple[int, ...]:
     """The walk along uni from first towards its least neighbour that never
     steps straight back, up to a vertex with no other neighbour or back at
@@ -92,50 +74,62 @@ def _trace(uni: List[List[int]], first: int) -> Tuple[int, ...]:
         order.append(nxt[0])
 
 
+def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
+    """The PathForm or CycleForm of g, or None, from one pass over g.edges
+    that collects the unicoloured neighbours, the red parity and the
+    bicoloured pairs. Two ends of degree 1 and the rest of degree 2 make a
+    path, walked from the least end; a 2-regular graph makes a cycle, walked
+    from 0. Either spans g only when its walk reaches every vertex, and then
+    a cycle holds every unicoloured edge, so its sign is the red parity."""
+    n = g.n
+    if n < 2:
+        return PathForm((0,), frozenset()) if n else None
+    uni: List[List[int]] = [[] for _ in range(n)]
+    red = 0
+    pairs = []
+    for u, v, c in g.edges:
+        if c is BICOLOURED:
+            pairs.append((u, v))
+        else:
+            uni[u].append(v)
+            uni[v].append(u)
+            red ^= c is RED
+    ends = [v for v in range(n) if len(uni[v]) != 2]
+    if ends and [len(uni[v]) for v in ends] != [1, 1]:
+        return None
+    order = _trace(uni, ends[0] if ends else 0)
+    if len(order) != n:
+        return None
+    pos = {v: i for i, v in enumerate(order)}
+    bic = set()
+    for u, v in pairs:
+        a, b = pos[u], pos[v]
+        bic.add((a, b) if a < b else (b, a))
+    if ends:
+        return PathForm(order, frozenset(bic))
+    return CycleForm(order, "-" if red else "+", frozenset(bic))
+
+
 def path_form(g: SignedGraph) -> Optional[PathForm]:
-    """The spanning unicoloured path of g, if one exists.
+    """The spanning unicoloured path of g, if one exists, found by the one
+    pass over g.edges that also finds a spanning cycle.
 
     The orientation starting at the smaller endpoint is the canonical one.
     """
-    if g.n == 0:
-        return None
-    uni = _uni_adjacency(g)
-    if sum(len(a) for a in uni) != 2 * (g.n - 1):
-        return None
-    if g.n == 1:
-        return PathForm((0,), _bic_positions(g, (0,)))
-    ends = [v for v in range(g.n) if len(uni[v]) == 1]
-    if len(ends) != 2 or any(len(a) > 2 for a in uni):
-        return None
-    # The walk from the end min(ends) stays on its path, so it stops only at
-    # the far end.
-    order = _trace(uni, min(ends))
-    if len(order) != g.n:
-        return None
-    return PathForm(order, _bic_positions(g, order))
+    f = _form(g)
+    return f if isinstance(f, PathForm) else None
 
 
 def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
-    """The spanning unicoloured cycle of g, if one exists.
+    """The spanning unicoloured cycle of g, if one exists, found by the one
+    pass over g.edges that also finds a spanning path; its sign is the
+    parity of g's red edges, which all lie on the cycle.
 
     The canonical order starts at vertex 0 and proceeds towards the smaller
     of its two path neighbours.
     """
-    if g.n < 3:
-        return None
-    uni = _uni_adjacency(g)
-    if any(len(a) != 2 for a in uni):
-        return None
-    # Every vertex of a simple 2-regular graph lies on one cycle, so the walk
-    # from 0 returns to 0; it spans g only when g is one cycle.
-    order = _trace(uni, 0)
-    if len(order) != g.n:
-        return None
-    bit = 0
-    for i, u in enumerate(order):
-        v = order[(i + 1) % g.n]
-        bit ^= g.colour(u, v) is RED
-    return CycleForm(order, "-" if bit else "+", _bic_positions(g, order))
+    f = _form(g)
+    return f if isinstance(f, CycleForm) else None
 
 
 def find_segments(p: PathForm) -> List[Segment]:

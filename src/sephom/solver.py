@@ -532,6 +532,7 @@ def _solve_via_h1(
     """Solve against a target that phi aligns onto _H1. Its unicoloured
     edges span it, so one walk rooted at the vertex phi sends to 0 gives
     the switching: the one the equivalence search finds for this phi."""
+    _check_lists(inst, target)
     uni = ((u, v, c) for u, v, c in target.edges if c is not BICOLOURED)
     s = _switching(
         target, ((u, v, c is not _H1.colour(phi[u], phi[v])) for u, v, c in uni), (phi.index(0),)

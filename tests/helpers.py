@@ -20,6 +20,7 @@ from sephom import (
     Switching,
     apply_switching,
     build_hl,
+    relabel,
 )
 from sephom.files import COLOUR_SYMBOLS, ParseError
 from sephom.hardness import QuadCsp
@@ -30,6 +31,7 @@ from sephom.ordering import (
     verify_special,
 )
 from sephom.separable import (
+    CycleForm,
     LEFT,
     LEFT_RIGHT_SEGMENTED,
     LEFT_SEGMENTED,
@@ -393,6 +395,71 @@ def ref_bipartition(g):
         black=frozenset(v for v in range(g.n) if side[v] == 1),
         white=frozenset(v for v in range(g.n) if side[v] == 0),
     )
+
+
+def _ref_uni_adjacency(g):
+    adj = [[] for _ in range(g.n)]
+    for u, v, c in g.edges:
+        if c is not BICOLOURED:
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def _ref_bic_positions(g, order):
+    pos = {v: i for i, v in enumerate(order)}
+    return frozenset(
+        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.bicoloured_edges()
+    )
+
+
+def _ref_trace(uni, first):
+    """The walk along uni from first towards its least neighbour that never
+    steps straight back, up to a vertex with no other neighbour or back at
+    first; uni must have no degree above 2."""
+    order = [first, min(uni[first])]
+    while True:
+        nxt = [w for w in uni[order[-1]] if w != order[-2]]
+        if not nxt or nxt[0] == first:
+            return tuple(order)
+        order.append(nxt[0])
+
+
+def ref_path_form(g):
+    """The spanning unicoloured path from its least end, checked as the
+    definition reads: n - 1 unicoloured edges, two ends of degree 1, no
+    degree above 2, and a walk that reaches every vertex."""
+    if g.n == 0:
+        return None
+    uni = _ref_uni_adjacency(g)
+    if sum(len(a) for a in uni) != 2 * (g.n - 1):
+        return None
+    if g.n == 1:
+        return PathForm((0,), _ref_bic_positions(g, (0,)))
+    ends = [v for v in range(g.n) if len(uni[v]) == 1]
+    if len(ends) != 2 or any(len(a) > 2 for a in uni):
+        return None
+    order = _ref_trace(uni, min(ends))
+    if len(order) != g.n:
+        return None
+    return PathForm(order, _ref_bic_positions(g, order))
+
+
+def ref_cycle_form(g):
+    """The spanning unicoloured cycle from 0 towards its least neighbour,
+    with its sign as the product of the signs of the cycle's own edges."""
+    if g.n < 3:
+        return None
+    uni = _ref_uni_adjacency(g)
+    if any(len(a) != 2 for a in uni):
+        return None
+    order = _ref_trace(uni, 0)
+    if len(order) != g.n:
+        return None
+    bit = 0
+    for i, u in enumerate(order):
+        bit ^= g.colour(u, order[(i + 1) % g.n]) is RED
+    return CycleForm(order, "-" if bit else "+", _ref_bic_positions(g, order))
 
 
 def ref_components(g, vertices=None):
@@ -791,8 +858,6 @@ def random_switching(rng, n):
 
 def random_relabel(rng, g):
     """A relabeled copy of g and the permutation used."""
-    from sephom import relabel
-
     phi = list(range(g.n))
     rng.shuffle(phi)
     return relabel(g, phi), tuple(phi)
@@ -842,3 +907,32 @@ def signed_graph_st(draw, max_n=7):
             if colour is not None:
                 edges.append((u, v, colour))
     return SignedGraph(n, edges)
+
+
+@st.composite
+def spine_graph_st(draw, max_n=12):
+    """Hypothesis strategy: a unicoloured path or cycle spine on 0..max_n
+    vertices, either length parity, with bicoloured chords of either parity,
+    sometimes one extra unicoloured edge or one spine edge missing, then
+    switched and relabeled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    cycle = n >= 3 and draw(st.booleans())
+    signs = (BLUE, RED)
+    edges = {}
+    for i in range(n - 1 + cycle):
+        u, v = sorted((i, (i + 1) % n))
+        edges[u, v] = draw(st.sampled_from(signs))
+    pairs = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) not in edges]
+    for pair in pairs:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            edges[pair] = BICOLOURED
+    change = draw(st.sampled_from(("none", "none", "extra", "missing")))
+    spine = [pair for pair, c in edges.items() if c is not BICOLOURED]
+    if change == "extra" and pairs:
+        edges[draw(st.sampled_from(pairs))] = draw(st.sampled_from(signs))
+    elif change == "missing" and spine:
+        del edges[draw(st.sampled_from(spine))]
+    g = SignedGraph(n, [(u, v, c) for (u, v), c in edges.items()])
+    flips = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=n))
+    phi = draw(st.permutations(range(n)))
+    return relabel(apply_switching(g, Switching(flips)), phi)

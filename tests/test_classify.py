@@ -1,5 +1,6 @@
 """The dichotomy: template matching for cycles, segmented forms for paths."""
 
+import importlib
 import random
 
 import pytest
@@ -11,6 +12,10 @@ from helpers import (
     random_path_target,
     random_relabel,
     random_switching,
+    ref_bipartition,
+    ref_cycle_form,
+    ref_path_form,
+    spine_graph_st,
 )
 from sephom import (
     BLUE,
@@ -96,6 +101,32 @@ def test_non_bipartite_targets():
         assert v.complexity == NP_COMPLETE
         assert v.reason == "NonBipartite"
         assert v.witness is None
+
+
+@given(spine_graph_st())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_forms_and_bipartiteness_match_the_references(g):
+    p, c = ref_path_form(g), ref_cycle_form(g)
+    assert path_form(g) == p
+    assert cycle_form(g) == c
+    try:
+        v = classify(g)
+    except ValueError:
+        assert p is None and c is None and ref_bipartition(g) is not None
+        return
+    assert (v.reason == "NonBipartite") == (ref_bipartition(g) is None)
+
+
+def test_separable_targets_classify_without_the_bipartition_walk(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("bipartition walk on a target with a form")
+
+    monkeypatch.setattr(importlib.import_module("sephom.classify"), "bipartition", forbidden)
+    odd_cycles = [SignedGraph(n, [(i, (i + 1) % n, BLUE) for i in range(n)]) for n in (3, 5)]
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 8):
+            classify(g)
+    assert [classify(g).reason for g in odd_cycles] == ["NonBipartite"] * 2
 
 
 def test_non_separable_targets_are_rejected():

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,9 +14,11 @@ from sephom import (
     SignedGraph,
     build_h1,
     build_hl,
+    classify,
     enum_targets,
     relabel,
     switching_equivalent,
+    verdict_dict,
 )
 from sephom import hardness
 from sephom.cli import run
@@ -63,6 +68,14 @@ def test_enum_counts_are_cumulative():
             digest.update(serialize_graph(g).encode())
     assert digest.hexdigest() == (
         "bf8e8dd749a5b2bddc863b8fb74616b2ca2fedc2b91f548678d97c0b90c8d31c"
+    )
+    # And so do the verdicts of the same 6,262 targets, in the same order.
+    digest = hashlib.sha256()
+    for kind, n in (("path", 9), ("cycle", 10)):
+        for g in enum_targets(kind, n):
+            digest.update(json.dumps(verdict_dict(classify(g))).encode())
+    assert digest.hexdigest() == (
+        "29a8eca6fab7339d5aab79630b6e539bfd3a686c15bfdefc12713a955a3bc8c3"
     )
 
 
@@ -358,3 +371,25 @@ def test_error_exit_codes(tmp_path, capsys):
 
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_the_module_entry_point_exits_with_the_verdict(tmp_path):
+    """python -m sephom runs __main__ and cli.main, whose exit status is the
+    one the process reports: 0 for P, 1 for NPC, 2 for an error."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    triangle = SignedGraph(3, [(0, 1, BLUE), (1, 2, BLUE), (0, 2, BLUE)])
+    for path, code, shown in (
+        (target_file(tmp_path, build_hl(5)), 0, '"reason": "MatchesHl(5)"'),
+        (target_file(tmp_path, triangle, "triangle.sg"), 1, '"reason": "NonBipartite"'),
+        (str(tmp_path / "missing.sg"), 2, "No such file or directory"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sephom", "classify", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == code
+        assert shown in (done.stderr if code == 2 else done.stdout)

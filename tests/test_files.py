@@ -71,6 +71,12 @@ def test_parse_graph_errors_carry_positions():
     with pytest.raises(ParseError, match="got '1'") as e:
         parse_graph("sg 3  # three\ne\t1  1\t 1 # 1 1\n")
     assert (e.value.line, e.value.col) == (2, 9)
+    with pytest.raises(ParseError, match="vertex count must be nonnegative") as e:
+        parse_graph("sg -1")
+    assert (e.value.line, e.value.col) == (1, 4)
+    with pytest.raises(ParseError, match=r"vertex id 5 out of range 0\.\.1") as e:
+        parse_graph("sg 2\ne 5 0 +")
+    assert (e.value.line, e.value.col) == (2, 3)
 
 
 def test_instance_lists_default_to_the_full_target_set():
@@ -117,6 +123,8 @@ def test_parse_quadcsp_errors():
         parse_quadcsp("v p\nv p")
     with pytest.raises(ParseError, match="'q <a> <b> <c> <d>'"):
         parse_quadcsp("q")
+    with pytest.raises(ParseError, match="variable lines are 'v <name>'"):
+        parse_quadcsp("v a b")
 
 
 def test_serialize_graph_is_canonical():

@@ -47,6 +47,11 @@ def blue_cycle(n):
     return SignedGraph(n, [(i, (i + 1) % n, BLUE) for i in range(n)])
 
 
+def test_construction_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        SignedGraph(-1, [])
+
+
 def test_construction_rejects_loops():
     with pytest.raises(ValueError, match="loop"):
         SignedGraph(2, [(1, 1, BLUE)])

@@ -543,6 +543,18 @@ def test_solve_routes_agree_with_the_oracle(seed):
             assert sol == solve(target, inst, "h1" if target is h1 else "ordered")
 
 
+def test_every_route_rejects_a_list_value_outside_the_target():
+    inst = Instance(blue_path(2), [[7], [1]])
+    for target, alg in (
+        (build_h1(), "oracle"),
+        (build_h1(), "h1"),
+        (build_h1(), "auto"),
+        (build_hl(3), "ordered"),
+    ):
+        with pytest.raises(ValueError, match="list value outside the target"):
+            solve(target, inst, alg)
+
+
 def test_solve_rejects_targets_off_its_route():
     hard = build_reduction_target(5)
     inst = Instance(blue_path(2), full_lists(2, hard))
