@@ -8,6 +8,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .sgcore import BLUE, RED, SignedGraph, walk_sign
 from .solver import Gf2System, Instance, gf2_solve
+from .targets import _check_odd
 
 
 def quad_relation(a: int, b: int, c: int, d: int) -> bool:
@@ -69,11 +70,6 @@ class Gadget:
     d: int
 
 
-def _check_ell(ell: int) -> None:
-    if ell < 5 or ell % 2 == 0:
-        raise ValueError("need an odd count >= 5")
-
-
 @functools.lru_cache(maxsize=None)
 def build_gadget(ell: int) -> Gadget:
     """Gadget fixed by one table of six (walk, bit) constraints, each
@@ -82,7 +78,7 @@ def build_gadget(ell: int) -> Gadget:
     then the pendants to b and d), and the walks are then re-checked by
     walk_sign; ValueError when either step fails. Built once per ell: the
     gadget is immutable, and a failed build is not cached."""
-    _check_ell(ell)
+    _check_odd(ell, 5)
     b_at, d_at = 3, ell - 3
     b, d = ell + 1, ell + 2
     pairs = [(i - 1, i) for i in range(1, ell + 1)] + [(b_at, b), (d_at, d)]
@@ -124,7 +120,7 @@ def build_gadget(ell: int) -> Gadget:
 def build_reduction(csp: QuadCsp, ell: int) -> Instance:
     """Instance against the unbalanced cycle target with n = ell + 3: one
     gadget per quadruple, occurrence links per shared variable."""
-    _check_ell(ell)
+    _check_odd(ell, 5)
     gadget = build_gadget(ell)
     edges: List[Tuple[int, int, object]] = []
     lists: List[FrozenSet[int]] = []

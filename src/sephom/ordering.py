@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 from .sgcore import BICOLOURED, SignedGraph, _bits
 from . import separable
 from .separable import PathForm, SegmentedForm
-from .targets import H0, H1, HL
+from .targets import H0, H1, HL, _check_odd
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def ordering_for_cycle_target(kind: str, ell: Optional[int] = None) -> Ordering:
     if kind == H1:
         return Ordering(black_order=(3, 1, 4), white_order=(0, 2, 5))
     if kind == HL:
-        if ell is None or ell < 3 or ell % 2 == 0:
-            raise ValueError("Hl needs an odd count >= 3")
+        _check_odd(ell, 3)
         white = tuple(range(0, ell, 2)) + (ell + 2,)
         black = tuple(range(ell, 0, -2)) + (ell + 1,)
         return Ordering(black_order=black, white_order=white)

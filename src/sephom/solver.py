@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .sgcore import (
-    BICOLOURED, RED, EdgeColour, SignedGraph, Switching, _bits, _inverse, _parity_lists,
+    BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits, _inverse, _parity_lists,
     _parity_walk, _switching, is_semi_balanced,
 )
 from . import targets
@@ -120,7 +120,8 @@ def _check_lists(inst: Instance, h: SignedGraph) -> None:
 
 # nbrs[w] lists (u, rows, memo) for each neighbour u of w: rows[j] is the
 # mask of u's values that w's value j supports, and memo maps a mask of w's
-# values to the union of their rows. Edges that share rows share the memo.
+# values to the union of their rows. Edges whose colours map to the same
+# rows table share it and its memo.
 _Nbrs = List[List[Tuple[int, List[int], Dict[int, int]]]]
 
 
@@ -158,15 +159,20 @@ def _propagate(
     return True
 
 
-def _target_nbrs(g: SignedGraph, h: SignedGraph) -> _Nbrs:
-    """Supports over target vertices: a bicoloured edge needs a bicoloured
-    image, any other edge an edge. Target adjacency is symmetric, so one
-    table per kind serves both directions of every edge."""
+def _target_nbrs(
+    g: SignedGraph, blue: List[int], red: List[int], bic: List[int]
+) -> _Nbrs:
+    """Supports across the edges of g from one rows table per edge colour,
+    over target vertices (a bicoloured edge needs a bicoloured image, any
+    other edge an edge) or over the oracle's lifted values. Every table is
+    symmetric, so one serves both directions of every edge."""
     nbrs: _Nbrs = [[] for _ in range(g.n)]
-    adj = (h.adj_mask, {})
-    bic = (h.bic_mask, {})
+    memos: Dict[int, Dict[int, int]] = {}
+    by_blue, by_red, by_bic = [
+        (rows, memos.setdefault(id(rows), {})) for rows in (blue, red, bic)
+    ]
     for u, v, c in g.edges:
-        rows, memo = bic if c is BICOLOURED else adj
+        rows, memo = by_bic if c is BICOLOURED else by_red if c is RED else by_blue
         nbrs[u].append((v, rows, memo))
         nbrs[v].append((u, rows, memo))
     return nbrs
@@ -181,32 +187,31 @@ def arc_consistency(
     masks = [_mask_of(l) for l in inst.lists]
     if 0 in masks:
         return None
-    if not _propagate(_target_nbrs(inst.g, h), masks, range(inst.g.n), []):
+    nbrs = _target_nbrs(inst.g, h.adj_mask, h.adj_mask, h.bic_mask)
+    if not _propagate(nbrs, masks, range(inst.g.n), []):
         return None
     return tuple(frozenset(_bits(m)) for m in masks)
 
 
-def _lifted_rows(
-    h: SignedGraph, vals_w: List[int], vals_u: List[int], c: EdgeColour
-) -> List[int]:
-    """Supports across an edge of colour c between lifted values: value
-    2k + p of a vertex is (its k-th list value, switch bit p), and rows[i]
-    is the mask of the lifted values of vals_u that value i of vals_w
-    supports."""
-    rows = []
-    for a in vals_w:
-        even = odd = 0
-        for j, b in enumerate(vals_u):
-            col = h.colour(a, b)
+def _lifted_rows(h: SignedGraph) -> Tuple[List[int], List[int], List[int]]:
+    """The oracle's rows tables for blue, red and bicoloured instance edges,
+    by the support rule solve_oracle states, over lifted values: 2a + p is
+    (target vertex a, switch bit p), and rows[2a + p] is the mask of lifted
+    values it supports across an edge of that colour."""
+    blue, red, bic = ([0] * (2 * h.n) for _ in range(3))
+    for a, b, col in h.edges:
+        for x, y in ((2 * a, 2 * b), (2 * b, 2 * a)):
             if col is BICOLOURED:
-                even |= 3 << 2 * j
-                odd |= 3 << 2 * j
-            elif col is not None and c is not BICOLOURED:
-                flip = (c is RED) ^ (col is RED)
-                even |= 1 << 2 * j + flip
-                odd |= 1 << 2 * j + (flip ^ 1)
-        rows += (even, odd)
-    return rows
+                for rows in (blue, red, bic):
+                    rows[x] |= 3 << y
+                    rows[x + 1] |= 3 << y
+            else:
+                agree, differ = (blue, red) if col is BLUE else (red, blue)
+                agree[x] |= 1 << y
+                agree[x + 1] |= 2 << y
+                differ[x] |= 2 << y
+                differ[x + 1] |= 1 << y
+    return blue, red, bic
 
 
 def _search(
@@ -262,7 +267,7 @@ def _search(
 def solve_oracle(
     inst: Instance, h: SignedGraph, stats: Optional[dict] = None
 ) -> Optional[Solution]:
-    """Exact decision for any target: search over lifted values (a, p), list
+    """Exact decision for any target: search over lifted values 2a + p, list
     value a in vertex order and switch bit p, 0 (+) first, with arc
     consistency on the lifted supports after every choice, counting
     backtracks. An edge of colour c supports (a, p)-(b, q) when h.colour(a,
@@ -272,23 +277,10 @@ def solve_oracle(
     if stats is not None:
         stats.setdefault("backtracks", 0)
     g = inst.g
-    vals = [sorted(l) for l in inst.lists]
-    if not all(vals):
+    masks = [_mask_of(2 * a for a in l) * 3 for l in inst.lists]
+    if 0 in masks:
         return None
-    lmask = [_mask_of(l) for l in inst.lists]
-    nbrs: _Nbrs = [[] for _ in range(g.n)]
-    # Edges whose ends have equal lists and equal colour share one table and
-    # its memo. The colour enters the key as two identity tests, which hash
-    # faster than the enum.
-    tables: Dict[Tuple[int, int, bool, bool], Tuple[List[int], Dict[int, int]]] = {}
-    for u, w, c in g.edges:
-        for x, y in ((u, w), (w, u)):
-            k = (lmask[x], lmask[y], c is RED, c is BICOLOURED)
-            table = tables.get(k)
-            if table is None:
-                table = tables[k] = (_lifted_rows(h, vals[x], vals[y], c), {})
-            nbrs[x].append((y, *table))
-    masks = [(1 << 2 * len(d)) - 1 for d in vals]
+    nbrs = _target_nbrs(g, *_lifted_rows(h))
     if not _propagate(nbrs, masks, range(g.n), []):
         return None
     _, comps = _parity_walk(
@@ -302,7 +294,7 @@ def solve_oracle(
             return None
     chosen = [m.bit_length() - 1 for m in masks]
     return Solution(
-        mapping=tuple(vals[v][i >> 1] for v, i in enumerate(chosen)),
+        mapping=tuple(i >> 1 for i in chosen),
         switching=Switching(v for v, i in enumerate(chosen) if i & 1),
     )
 
@@ -328,7 +320,7 @@ def _by_sides(
     if found is None:
         return None
     side, comps = found
-    nbrs = _target_nbrs(g, h)
+    nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
     base = [_mask_of(l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.
     masks = list(base)
@@ -537,7 +529,7 @@ def _solve_via_h1(
     s = _switching(
         target, ((u, v, c is not _H1.colour(phi[u], phi[v])) for u, v, c in uni), (phi.index(0),)
     )
-    lifted = Instance(inst.g, [frozenset(phi[a] for a in l) for l in inst.lists])
+    lifted = Instance._checked(inst.g, tuple(frozenset(phi[a] for a in l) for l in inst.lists))
     return _translate(solve_h1(lifted), phi, s)
 
 

@@ -28,9 +28,10 @@ def template_pairs(ell: int):
     ]
 
 
-def _check_hl(ell: int) -> None:
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("template parameter must be odd and at least 3")
+def _check_odd(ell: Optional[int], least: int) -> None:
+    """The one rule for a template parameter: an odd count >= least."""
+    if ell is None or ell < least or ell % 2 == 0:
+        raise ValueError("template parameter must be an odd count >= %d" % least)
 
 
 def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
@@ -41,7 +42,7 @@ def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
     if kind == H1:
         ell, sign = 3, "-"
     elif kind == HL:
-        _check_hl(ell)
+        _check_odd(ell, 3)
         sign = "+"
     else:
         raise ValueError("unknown target kind %r" % kind)
@@ -75,7 +76,7 @@ def build_h1() -> SignedGraph:
 
 def build_hl(ell: int) -> SignedGraph:
     """The balanced template target: all edges blue, bicoloured template pairs."""
-    _check_hl(ell)
+    _check_odd(ell, 3)
     edges = _cycle_edges(ell, BLUE, (BLUE, BLUE, BLUE))
     edges.extend((i, j, BICOLOURED) for i, j in template_pairs(ell))
     return SignedGraph(ell + 3, edges)
@@ -84,8 +85,7 @@ def build_hl(ell: int) -> SignedGraph:
 def build_reduction_target(ell: int) -> SignedGraph:
     """The unbalanced template target the gadget reduction compiles against:
     long path blue, short path red, bicoloured template pairs."""
-    if ell < 5 or ell % 2 == 0:
-        raise ValueError("template parameter must be odd and at least 5")
+    _check_odd(ell, 5)
     edges = _cycle_edges(ell, BLUE, (RED, RED, RED))
     edges.extend((i, j, BICOLOURED) for i, j in template_pairs(ell))
     return SignedGraph(ell + 3, edges)

@@ -814,6 +814,37 @@ def random_instance(rng, n, h, p_edge=0.4, bipartite=False, max_list=3):
     return Instance(g, random_lists(rng, n, h.n, max_list))
 
 
+def planted_instance(rng, h, n, extra, decoys):
+    """A connected instance on n vertices that a random map and switching
+    solve. A random tree maps each vertex to a neighbour of its parent's
+    image, and of extra more random pairs, those the map sends onto an edge
+    are kept. Each edge takes the colour the switched map needs (any colour
+    onto a bicoloured edge); each list holds the image and up to decoys
+    other target vertices."""
+    nbrs = [[b for b in range(h.n) if h.adjacent(a, b)] for a in range(h.n)]
+    img = [rng.choice([a for a in range(h.n) if nbrs[a]])]
+    pairs = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        img.append(rng.choice(nbrs[img[u]]))
+        pairs.append((u, v))
+    for _ in range(extra):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if h.adjacent(img[u], img[v]):
+            pairs.append((min(u, v), max(u, v)))
+    flip = [rng.randrange(2) for _ in range(n)]
+    edges = {}
+    for u, v in pairs:
+        c = h.colour(img[u], img[v])
+        if c is BICOLOURED:
+            c = rng.choice((BLUE, RED, BICOLOURED))
+        elif flip[u] != flip[v]:
+            c = RED if c is BLUE else BLUE
+        edges.setdefault((u, v), c)
+    lists = [{a, *rng.sample(range(h.n), rng.randint(0, min(decoys, h.n)))} for a in img]
+    return Instance(SignedGraph(n, [(u, v, c) for (u, v), c in edges.items()]), lists)
+
+
 def random_path_target(rng, n, p_chord=0.3):
     """Blue path with a random set of odd-distance chords bicoloured."""
     edges = [(i, i + 1, BLUE) for i in range(n - 1)]

@@ -209,8 +209,8 @@ def test_template_cycle_forms_match_the_built_graphs():
     assert template_cycle_form(H1) == cycle_form(build_h1())
     for ell in range(3, 62, 2):
         assert template_cycle_form(HL, ell) == cycle_form(build_hl(ell))
-    for bad in (1, 4):
-        with pytest.raises(ValueError):
+    for bad in (1, 4, None):
+        with pytest.raises(ValueError, match="odd count >= 3"):
             template_cycle_form(HL, bad)
 
 

@@ -93,8 +93,9 @@ def test_every_quadcsp_is_satisfiable():
 
 def test_build_gadget_validates_the_parameter():
     for bad in (3, 4, 6, -1):
-        with pytest.raises(ValueError, match="odd count >= 5"):
-            build_gadget(bad)
+        for build in (build_gadget, build_reduction_target):
+            with pytest.raises(ValueError, match="odd count >= 5"):
+                build(bad)
 
 
 def test_gadget_signs_are_frozen():

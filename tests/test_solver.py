@@ -1,5 +1,6 @@
 """GF(2) systems, arc consistency, and the three solving routes."""
 
+import hashlib
 import math
 import random
 import time
@@ -14,9 +15,11 @@ from helpers import (
     brute_lhom_all,
     hl61_with_ends_swapped,
     naive_arc_consistency,
+    planted_instance,
     random_instance,
     random_path_target,
     random_relabel,
+    random_signed_graph,
     random_switching,
     solution_errors,
 )
@@ -210,6 +213,57 @@ def test_solve_oracle_frozen_outputs():
         assert sol.mapping == mapping
         assert sorted(sol.switching.flipped) == flipped
         assert stats == {"backtracks": backtracks}
+    # A seeded sweep of 2,000 calls, hashed as the oracle first answered it:
+    # full and partial lists against templates, a non-bipartite target, one
+    # with isolated vertices and random ones, then reductions at ell = 5, 7.
+    rng = random.Random(2017)
+    hs = [build_h0(), build_h1(), build_hl(3), build_hl(5), build_reduction_target(5),
+          SignedGraph(4, [(0, 1, BLUE), (1, 2, RED), (0, 2, BICOLOURED), (2, 3, BLUE)]),
+          SignedGraph(6, [(0, 1, RED), (1, 2, BICOLOURED), (2, 3, BLUE), (0, 3, BLUE)])]
+    hs += [random_signed_graph(rng, rng.randint(3, 7)) for _ in range(8)]
+    sweep = []
+    for _ in range(1800):
+        h = rng.choice(hs)
+        n = rng.randint(1, 12)
+        inst = random_instance(rng, n, h, p_edge=rng.choice((0.2, 0.4)),
+                               bipartite=rng.random() < 0.5, max_list=rng.randint(1, h.n))
+        if rng.random() < 0.3:
+            inst = Instance(inst.g, full_lists(n, h))
+        sweep.append((inst, h))
+    for _ in range(200):
+        ell = rng.choice((5, 7))
+        quads = [[rng.choice("pqrs") for _ in range(4)] for _ in range(rng.randint(1, 3))]
+        csp = QuadCsp([x for x in "pqrs" if any(x in q for q in quads)], quads)
+        sweep.append((build_reduction(csp, ell), build_reduction_target(ell)))
+    digest = hashlib.sha256()
+    for inst, h in sweep:
+        stats = {}
+        sol = solve_oracle(inst, h, stats)
+        out = None if sol is None else (sol.mapping, sorted(sol.switching.flipped))
+        digest.update(repr((out, stats)).encode())
+    assert digest.hexdigest() == (
+        "e8b0ff2f2bd5aac9b3fd0325447d928b6af06e5ed4c0dadbd5dcc44bc0a1121a"
+    )
+
+
+def test_solve_oracle_lifts_the_target_once_per_call(monkeypatch):
+    # Every vertex has its own list, and every edge colour occurs.
+    built = []
+    real = solver._lifted_rows
+
+    def counted(h):
+        built.append(h)
+        return real(h)
+
+    monkeypatch.setattr(solver, "_lifted_rows", counted)
+    h = build_reduction_target(7)
+    lists = [frozenset(b for b in range(h.n) if v >> b & 1) for v in range(1, 2**h.n, 37)]
+    colours = (BLUE, RED, BICOLOURED)
+    g = SignedGraph(len(lists), [(v, v + 1, colours[v % 3]) for v in range(len(lists) - 1)])
+    for inst in (Instance(g, lists), Instance(g, full_lists(g.n, h))):
+        built.clear()
+        solve_oracle(inst, h)
+        assert built == [h]
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -541,6 +595,33 @@ def test_solve_routes_agree_with_the_oracle(seed):
             assert sol == solve_oracle(inst, target)
         if alg == "auto":
             assert sol == solve(target, inst, "h1" if target is h1 else "ordered")
+
+
+@pytest.mark.parametrize("route", ["oracle", "ordered", "h1", "auto"])
+@given(seed=st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_planted_instances_past_brute_force_solve_on_every_route(route, seed):
+    # The oracle gets trees, on which maintained arc consistency never
+    # backtracks, so it stays polynomial; the other routes get extra edges.
+    rng = random.Random(seed)
+    if route == "oracle":
+        h = rng.choice((build_h0(), build_h1(), build_reduction_target(5),
+                        SignedGraph(5, [(0, 1, BLUE), (1, 2, RED), (0, 2, BICOLOURED)])))
+        run = lambda inst: solve_oracle(inst, h)
+    elif route == "ordered":
+        h, o = polynomial_target(rng)
+        run = lambda inst: solve_ordered(inst, h, o)
+    elif route == "h1":
+        h, run = build_h1(), solve_h1
+    else:
+        h = disguise(rng, rng.choice((build_h1(), build_hl(rng.choice((3, 5, 9))),
+                                      right_segmented_path())))
+        run = lambda inst: solve(h, inst, "auto")
+    n = rng.randint(40, 200)
+    inst = planted_instance(rng, h, n, 0 if route == "oracle" else n // 10, 2)
+    sol = run(inst)
+    assert sol is not None
+    assert check_solution(inst, h, sol) == []
 
 
 def test_every_route_rejects_a_list_value_outside_the_target():
