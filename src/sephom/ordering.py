@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .sgcore import BICOLOURED, SignedGraph, _bits
+from .sgcore import BICOLOURED, SignedGraph, _bits, _inverse
 from . import separable
 from .separable import PathForm, SegmentedForm
 from .targets import H0, H1, HL, _check_odd
@@ -17,33 +17,30 @@ class Ordering:
     white_order: Tuple[int, ...]
 
 
-def _rank_rows(g: SignedGraph, o: Ordering) -> Tuple[List[int], List[int], List[int]]:
-    """place[v], v's index in its class order, and for each vertex its
-    unicoloured and its bicoloured neighbours as bit rows over their places.
-    One pass over the edges, which also checks that every edge crosses the
-    classes; O(n + m) big-int operations."""
+def _rank_rows(
+    g: SignedGraph, o: Ordering
+) -> Tuple[Tuple[int, ...], List[int], List[int], List[int]]:
+    """order, the whites then the blacks; place, its inverse; and each
+    vertex's unicoloured and bicoloured neighbours as bit rows over their
+    places. One pass over the edges, which also checks that every edge
+    crosses the classes; O(n + m) big-int operations."""
     black, white = set(o.black_order), set(o.white_order)
     if len(black) != len(o.black_order) or len(white) != len(o.white_order):
         raise ValueError("ordering repeats a vertex")
     if black & white or black | white != set(range(g.n)):
         raise ValueError("ordering classes do not partition the vertices")
-    place = [0] * g.n
-    is_black = [False] * g.n
-    for order in (o.white_order, o.black_order):
-        for i, v in enumerate(order):
-            place[v] = i
-    for v in o.black_order:
-        is_black[v] = True
+    order = o.white_order + o.black_order
+    place = _inverse(order)
+    nw = len(o.white_order)
     bit = [1 << i for i in place]
-    uni = [0] * g.n
-    bic = [0] * g.n
+    uni, bic = [0] * g.n, [0] * g.n
     for u, v, c in g.edges:
-        if is_black[u] == is_black[v]:
+        if (place[u] < nw) == (place[v] < nw):
             raise ValueError("edge inside an ordering class")
         rows = bic if c is BICOLOURED else uni
         rows[u] |= bit[v]
         rows[v] |= bit[u]
-    return place, uni, bic
+    return order, place, uni, bic
 
 
 def _gaps(row: int) -> int:
@@ -54,8 +51,8 @@ def _gaps(row: int) -> int:
 def _min_violator(o: Ordering, uni: List[int], bic: List[int]) -> Optional[int]:
     """The least white x by id with a later white x' adjacent to a black
     place in gaps(x): the union of the rows of the whites after x, kept
-    while walking the whites backwards, meets gaps(x). O(|W|) big-int
-    operations."""
+    while walking the whites backwards, meets gaps(x) (those rows hold only
+    black places). O(|W|) big-int operations."""
     later = 0
     least = None
     for x in reversed(o.white_order):
@@ -87,17 +84,16 @@ def verify_min_ordering(
     named: x' is the least white by id after x whose row meets gaps(x),
     O(|W| + |B|).
     """
-    place, uni, bic = _rank_rows(g, o)
+    order, place, uni, bic = _rank_rows(g, o)
     x = _min_violator(o, uni, bic)
     if x is None:
         return None
-    black = o.black_order
     nx = uni[x] | bic[x]
     gaps = _gaps(nx)
     xp = min(w for w in o.white_order[place[x] + 1 :] if (uni[w] | bic[w]) & gaps)
-    y = min(black[r] for r in _bits((uni[xp] | bic[xp]) & gaps))
+    y = min(order[r] for r in _bits((uni[xp] | bic[xp]) & gaps))
     later = nx & -(1 << (place[y] + 1))
-    return (x, xp, y, min(black[r] for r in _bits(later)))
+    return (x, xp, y, min(order[r] for r in _bits(later)))
 
 
 def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]]:
@@ -108,14 +104,13 @@ def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]
     The rank-row table costs O(n + m) and the scan for the least violating
     v O(n) big-int operations; naming its two neighbours costs O(deg v).
     """
-    place, uni, bic = _rank_rows(g, o)
+    order, place, uni, bic = _rank_rows(g, o)
     v = _special_violator(uni, bic)
     if v is None:
         return None
-    other = o.black_order if v in o.white_order else o.white_order
     u = uni[v]
-    x = min(other[r] for r in _bits(bic[v] & -((u & -u) << 1)))
-    y = min(other[r] for r in _bits(u & ((1 << place[x]) - 1)))
+    x = min(order[r] for r in _bits(bic[v] & -((u & -u) << 1)))
+    y = min(order[r] for r in _bits(u & ((1 << place[x]) - 1)))
     return (v, x, y)
 
 

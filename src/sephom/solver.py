@@ -18,7 +18,9 @@ from .sgcore import (
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
-from .ordering import Ordering, _min_violator, _rank_rows, _special_violator
+from .ordering import (
+    Ordering, _min_violator, _rank_rows, _special_violator, ordering_for_cycle_target,
+)
 
 
 @dataclass(frozen=True)
@@ -299,19 +301,21 @@ def solve_oracle(
     )
 
 
-_Finish = Callable[[List[int], List[int]], Optional[List[Tuple[int, int, int]]]]
+_Signed = List[List[Tuple[int, int]]]
+_Assigned = Optional[List[Tuple[int, int, int]]]
+_Finish = Callable[[_Signed, List[int], List[int]], _Assigned]
 
 
-def _by_sides(
-    inst: Instance, h: SignedGraph, white: int, black: int, finish: _Finish
-) -> Optional[Solution]:
-    """Solve inst against a bipartite target whose classes are the vertex
-    masks white and black, one instance component at a time. Each side
-    assignment of a component (its least vertex on black, then on white)
-    restricts the lists to the classes and runs arc consistency; finish
-    then gets the component, in increasing order, and the masks, and
-    returns (vertex, image, switch bit) triples or None. Absent when inst
-    is not bipartite or a component fails on both sides."""
+def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> Optional[Solution]:
+    """Solve inst against a bipartite target whose classes are those of the
+    ordering o, one instance component at a time. Each side assignment of a
+    component (its least vertex on black, then on white) restricts the lists
+    to the classes and runs arc consistency; finish then gets red, the
+    component in increasing order, and the masks, and returns (vertex,
+    image, switch bit) triples or None. red is the instance's one signed
+    adjacency: red[v] lists each neighbour of v in increasing order, with 1
+    for a red edge. Absent when inst is not bipartite or a component fails
+    on both sides."""
     _check_lists(inst, h)
     g = inst.g
     found = _parity_walk(
@@ -320,6 +324,8 @@ def _by_sides(
     if found is None:
         return None
     side, comps = found
+    red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
+    white, black = _mask_of(o.white_order), _mask_of(o.black_order)
     nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
     base = [_mask_of(l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.
@@ -332,7 +338,7 @@ def _by_sides(
             for v in comp:
                 masks[v] = base[v] & classes[side[v]]
             if all(masks[v] for v in comp) and _propagate(nbrs, masks, comp, []):
-                result = finish(comp, masks)
+                result = finish(red, comp, masks)
                 if result is not None:
                     break
         else:
@@ -346,8 +352,8 @@ def _by_sides(
 
 
 _H1 = targets.build_h1()
-_H_WHITE = _mask_of((0, 2, 5))
-_H_BLACK = _mask_of((1, 3, 4))
+_H1_ORDERING = ordering_for_cycle_target(targets.H1)
+_H_WHITE = _mask_of(_H1_ORDERING.white_order)
 
 
 def solve_h1(inst: Instance) -> Optional[Solution]:
@@ -355,22 +361,11 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one parity walk per component tying region choices to boundary
     switchings."""
-    g = inst.g
-    red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    return _by_sides(
-        inst,
-        _H1,
-        _H_WHITE,
-        _H_BLACK,
-        lambda comp, masks: _solve_h1_component(red, comp, masks),
-    )
+    return _by_sides(inst, _H1, _H1_ORDERING, _solve_h1_component)
 
 
-def _solve_h1_component(
-    red: List[List[Tuple[int, int]]], comp: List[int], masks: List[int]
-) -> Optional[List[Tuple[int, int, int]]]:
-    """comp in increasing order; red[v] lists v's neighbours in increasing
-    order, each with 1 for a red edge."""
+def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
+    """The finish of solve_h1 for one component, as _by_sides calls it."""
     hw = {v: int(masks[v] & _H_WHITE != 0) for v in comp}
     boundary = [v for v in comp if masks[v] & 0b001001]
     ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
@@ -433,30 +428,26 @@ def solve_ordered(
     """Exact decision for a semi-balanced target with a special min
     ordering o, without search: per instance component and side assignment,
     arc consistency, then every vertex takes the value of least rank in o
-    left in its list, and one parity walk over the unicoloured edges whose
-    image is unicoloured finds the switching that gives each its image's
-    sign; a conflict fails the side. stats["backtracks"] stays 0.
+    left in its list, and one parity walk over the edges whose image is
+    unicoloured finds the switching that gives each its image's sign; a
+    conflict fails the side. stats["backtracks"] stays 0.
 
     o is checked as verify_min_ordering and verify_special check it, from
     one rank-row table: O(n + m) for the table, then O(|W|) and O(n)
     big-int operations for the two scans."""
-    rank, uni, bic = _rank_rows(h, o)
+    _, rank, uni, bic = _rank_rows(h, o)
     if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
     if is_semi_balanced(h) is None:
         raise ValueError("target is not semi-balanced")
     if stats is not None:
         stats.setdefault("backtracks", 0)
-    g = inst.g
-    signed = _parity_lists(
-        g.n, ((u, v, c is RED) for u, v, c in g.edges if c is not BICOLOURED)
-    )
 
-    def finish(comp: List[int], masks: List[int]) -> Optional[List[Tuple[int, int, int]]]:
+    def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
         image = {v: min(_bits(masks[v]), key=rank.__getitem__) for v in comp}
         onto_uni = {v: [] for v in comp}
         for v in comp:
-            for w, p in signed[v]:
+            for w, p in red[v]:
                 ic = h.colour(image[v], image[w])
                 if ic is not BICOLOURED:
                     onto_uni[v].append((w, p ^ (ic is RED)))
@@ -465,7 +456,7 @@ def solve_ordered(
             return None
         return [(v, image[v], found[0][v]) for v in comp]
 
-    return _by_sides(inst, h, _mask_of(o.white_order), _mask_of(o.black_order), finish)
+    return _by_sides(inst, h, o, finish)
 
 
 def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:

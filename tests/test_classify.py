@@ -34,7 +34,7 @@ from sephom import (
     switching_equivalent,
     verdict_dict,
 )
-from sephom.classify import NP_COMPLETE, POLYNOMIAL
+from sephom.classify import NP_COMPLETE, POLYNOMIAL, classify_cycle, classify_path
 from sephom.ordering import ordering_for_cycle_target, verify_min_ordering, verify_special
 from sephom.separable import NOT_SEGMENTED, cycle_form, path_form, segmented_form
 from sephom.targets import H0, H1, HL, template_cycle_form
@@ -133,6 +133,10 @@ def test_non_separable_targets_are_rejected():
     star = SignedGraph(4, [(0, 1, BLUE), (0, 2, BLUE), (0, 3, BLUE)])
     with pytest.raises(ValueError, match="neither a spanning path nor cycle"):
         classify(star)
+    with pytest.raises(ValueError, match="do not form a spanning path"):
+        classify_path(build_h0())
+    with pytest.raises(ValueError, match="do not form a spanning cycle"):
+        classify_cycle(SignedGraph(3, [(0, 1, BLUE), (1, 2, BLUE)]))
 
 
 def test_relabeled_template_ordering_is_pulled_back():
@@ -212,6 +216,8 @@ def test_template_cycle_forms_match_the_built_graphs():
     for bad in (1, 4, None):
         with pytest.raises(ValueError, match="odd count >= 3"):
             template_cycle_form(HL, bad)
+    with pytest.raises(ValueError, match="unknown target kind 'H2'"):
+        template_cycle_form("H2")
 
 
 def _template_phi(verdict, kind, ell):

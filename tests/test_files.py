@@ -101,6 +101,8 @@ def test_parse_instance_errors():
         parse_instance("sg 2\nl 0 9", 4)
     with pytest.raises(ParseError, match="vertex id 5 out of range"):
         parse_instance("sg 2\nl 5 0", 4)
+    with pytest.raises(ParseError, match="list lines are 'l <v> "):
+        parse_instance("sg 1\nl", 2)
 
 
 def test_quadcsp_round_trip():

@@ -84,6 +84,14 @@ def test_accessors():
     assert sorted(g.neighbours(0)) == [1, 3, 4]
     assert [(u, v) for u, v, c in g.unicoloured_edges() if c is RED] == [(4, 5)]
     assert g.bicoloured_edges() == [(0, 3)]
+    # Equal graphs hash alike whatever order their edges came in.
+    a = SignedGraph(3, [(1, 2, RED), (0, 1, BICOLOURED)])
+    assert repr(a) == (
+        "SignedGraph(n=3, edges=[(0, 1, <EdgeColour.BICOLOURED: '*'>), "
+        "(1, 2, <EdgeColour.RED: '-'>)])"
+    )
+    assert hash(a) == hash(SignedGraph(3, [(0, 1, BICOLOURED), (2, 1, RED)]))
+    assert len({a, SignedGraph(3, [(0, 1, BICOLOURED), (2, 1, RED)]), g}) == 2
 
 
 @given(signed_graph_st())
@@ -289,6 +297,10 @@ def test_switching_equivalent_positive_cases():
 def test_switching_equivalent_distinguishes_templates():
     assert switching_equivalent(build_h1(), build_hl(3)) is None
     assert switching_equivalent(build_h1(), build_h0()) is None
+    # Equal edge counts, unequal bicoloured counts.
+    assert switching_equivalent(
+        SignedGraph(2, [(0, 1, BLUE)]), SignedGraph(2, [(0, 1, BICOLOURED)])
+    ) is None
 
 
 @given(signed_graph_st(max_n=6), st.integers(min_value=0, max_value=63))

@@ -17,6 +17,15 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _quoted_names(tree):
+    """Names read inside string annotations."""
+    names = set()
+    for note in _annotations(tree):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    return names
+
+
 def unused_imports(source):
     """(line, name) for each name an import binds that the module never
     reads: not as a name, not inside a string annotation, not in __all__."""
@@ -28,16 +37,51 @@ def unused_imports(source):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for note in _annotations(tree):
-        if isinstance(note, ast.Constant) and isinstance(note.value, str):
-            used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _quoted_names(tree)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def unread_private_names(sources):
+    """(file, line, name) for each module-level private name, bound by a
+    def, a class or an assignment in one of sources (file -> text), that no
+    source reads: not as a name, not as an attribute, not in a from import."""
+    defined, read = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [(n.id, n.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path, line, name) for name, line in bound
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+        read |= _quoted_names(tree)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def _sources():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert len(paths) > 5
+    sources = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    return sources
 
 
 def test_the_checker_flags_an_import_nothing_reads():
@@ -53,14 +97,33 @@ def test_the_checker_flags_an_import_nothing_reads():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
-    assert len(paths) > 5
     found = {}
-    for path in paths:
-        if os.path.basename(path) == "__init__.py":
+    for name, source in _sources().items():
+        if name == "__init__.py":
             continue
-        with open(path, encoding="utf-8") as fh:
-            unused = unused_imports(fh.read())
+        unused = unused_imports(source)
         if unused:
-            found[os.path.basename(path)] = unused
+            found[name] = unused
     assert found == {}
+
+
+def test_the_checker_flags_a_private_name_nothing_reads():
+    sources = {
+        "a.py": (
+            "_H_WHITE = 1\n"
+            "_H_BLACK = 2\n"
+            "_T: int = 3\n"
+            "def _f() -> '_Alias':\n"
+            "    _local = _H_WHITE\n"
+            "class _C:\n"
+            "    _inner = 4\n"
+            "_Alias = int\n"
+            "__all__ = []\n"
+        ),
+        "b.py": "from .a import _f\nfrom . import a\nx = a._C\n",
+    }
+    assert unread_private_names(sources) == [("a.py", 2, "_H_BLACK"), ("a.py", 3, "_T")]
+
+
+def test_every_private_name_is_read_in_the_library():
+    assert unread_private_names(_sources()) == []

@@ -70,6 +70,12 @@ def test_verify_chain_rejects_malformed_walks():
     assert not verify_chain(ALT, Chain(U=(0, 3, 2), D=(1, 0, 2)))
     assert not verify_chain(ALT, Chain(U=(0, 3, 2), D=(0, 1, 3)))
     assert not verify_chain(ALT, Chain(U=(0, 3, 9), D=(0, 1, 9)))
+    # The last step of U is blue, not bicoloured.
+    assert not verify_chain(ALT, Chain(U=(0, 3, 0), D=(0, 1, 0)))
+    # The interior step 1 -> 0, 3 -> 2 has d_1 u_2 = 3 0 an edge, and 1 0 is
+    # not bicoloured.
+    p6 = blue_path(6, [(0, 3), (2, 5)])
+    assert not verify_chain(p6, Chain(U=(0, 1, 0, 3), D=(0, 3, 2, 3)))
 
 
 def test_find_chain_frozen_examples():
@@ -198,6 +204,10 @@ def test_verify_invertible_pair_rejects_tampering():
     assert not verify_invertible_pair(g, dataclasses.replace(ip, U=ip.D, D=ip.U))
     assert not verify_invertible_pair(g, dataclasses.replace(ip, U=ip.U[:-1]))
     assert not verify_invertible_pair(g, dataclasses.replace(ip, b=ip.b + 1))
+    # No middle swap; a non-edge step; the edge d_1 u_2 = 1 2.
+    for U, D in (((0, 1, 0), (2, 1, 2)), ((0, 2, 0), (2, 0, 2)),
+                 ((0, 1, 2, 1, 0), (2, 1, 0, 1, 2))):
+        assert not verify_invertible_pair(g, InvertiblePair(a=0, b=2, U=U, D=D))
 
 
 @given(signed_graph_st(max_n=6))
