@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterator, List, Sequence, Tuple
 
@@ -179,7 +180,13 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # Silence the flush at exit too, as the Python docs' note on SIGPIPE advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     # ParseError and json.JSONDecodeError are ValueErrors.
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

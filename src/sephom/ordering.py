@@ -117,58 +117,36 @@ def verify_special(g: SignedGraph, o: Ordering) -> Optional[Tuple[int, int, int]
 def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:
     """Special min ordering for a segmented path target.
 
-    White is the class of the path's first vertex; ties keep path order.
+    White is the class of the path's first vertex. Each class splits at a
+    cut: two past the pivot's start for LeftRight, 0 for Right, n for Left
+    and TrivialPath. Before the cut it lists the block ends last to first,
+    then the rest in path order; from the cut on, the block starts in path
+    order, then the rest last to first. The class of the cut's parity puts
+    its part before the cut first, the other class its part from the cut on.
     """
     n = len(p.order)
-    evens = list(range(0, n, 2))
-    odds = list(range(1, n, 2))
+    if f.kind == separable.LEFT_RIGHT_SEGMENTED:
+        if f.pivot is None:
+            raise ValueError("LeftRightSegmented form lacks its pivot")
+        cut = f.pivot.start + 2
+    elif f.kind in (separable.RIGHT_SEGMENTED, separable.LEFT_SEGMENTED, separable.TRIVIAL_PATH):
+        cut = 0 if f.kind == separable.RIGHT_SEGMENTED else n
+    else:
+        raise ValueError("no ordering for kind %r" % f.kind)
     # Segments tile the block starts, so the segments' forward sources are
     # the block starts and their backward sources the block ends.
     forward = {i for i, j in p.bic if j == i + 3}
     backward = {i + 3 for i in forward}
 
-    def right_recipe(cls: List[int]) -> List[int]:
-        src = [i for i in cls if i in forward]
-        rest = [i for i in cls if i not in forward]
-        return src + rest[::-1]
+    def arrange(parity: int) -> Tuple[int, ...]:
+        cls = range(parity, n, 2)
+        head = [i for i in reversed(cls) if i < cut and i in backward]
+        head += [i for i in cls if i < cut and i not in backward]
+        tail = [i for i in cls if i >= cut and i in forward]
+        tail += [i for i in reversed(cls) if i >= cut and i not in forward]
+        return tuple(p.order[i] for i in (head + tail if parity == cut % 2 else tail + head))
 
-    def left_recipe(cls: List[int]) -> List[int]:
-        src = [i for i in cls if i in backward]
-        rest = [i for i in cls if i not in backward]
-        return src[::-1] + rest
-
-    if f.kind == separable.TRIVIAL_PATH:
-        white, black = evens, odds
-    elif f.kind == separable.RIGHT_SEGMENTED:
-        white, black = right_recipe(evens), right_recipe(odds)
-    elif f.kind == separable.LEFT_SEGMENTED:
-        white, black = left_recipe(evens), left_recipe(odds)
-    elif f.kind == separable.LEFT_RIGHT_SEGMENTED:
-        pivot = f.pivot
-        if pivot is None:
-            raise ValueError("LeftRightSegmented form lacks its pivot")
-        u_side = set(range(0, pivot.start + 2))
-
-        def halves(cls: List[int]) -> Tuple[List[int], List[int]]:
-            ul = [i for i in cls if i in u_side and i in backward]
-            un = [i for i in cls if i in u_side and i not in backward]
-            vr = [i for i in cls if i not in u_side and i in forward]
-            vn = [i for i in cls if i not in u_side and i not in forward]
-            return ul[::-1] + un, vr + vn[::-1]
-
-        (wu, wv), (bu, bv) = halves(evens), halves(odds)
-        # The pivot's class puts its u side first, the other class its v side.
-        if pivot.start % 2 == 0:
-            white, black = wu + wv, bv + bu
-        else:
-            white, black = wv + wu, bu + bv
-    else:
-        raise ValueError("no ordering for kind %r" % f.kind)
-
-    return Ordering(
-        black_order=tuple(p.order[i] for i in black),
-        white_order=tuple(p.order[i] for i in white),
-    )
+    return Ordering(black_order=arrange(1), white_order=arrange(0))
 
 
 def ordering_for_cycle_target(kind: str, ell: Optional[int] = None) -> Ordering:
@@ -186,9 +164,6 @@ def ordering_for_cycle_target(kind: str, ell: Optional[int] = None) -> Ordering:
 
 
 __all__ = [
-    "H0",
-    "H1",
-    "HL",
     "Ordering",
     "verify_min_ordering",
     "verify_special",

@@ -393,3 +393,36 @@ def test_the_module_entry_point_exits_with_the_verdict(tmp_path):
         )
         assert done.returncode == code
         assert shown in (done.stderr if code == 2 else done.stdout)
+
+
+def test_a_reader_that_has_gone_is_no_error(tmp_path):
+    """`sephom enum ... | head -1` exits 0 with nothing on stderr, and so do
+    classify and gadget writing into a pipe whose reader closed first. The
+    child's stdout is block-buffered, as under a shell, so their short
+    outputs meet the closed pipe only when flushed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    sephom = [sys.executable, "-m", "sephom"]
+    proc = subprocess.Popen(
+        sephom + ["enum", "--type", "path", "--max-n", "10"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(line)["verdict"]["reason"] == "Segmented(TrivialPath)"
+    assert (proc.returncode, err) == (0, b"")
+    csp = write(tmp_path, "csp.txt", "v p\nv q\nq p q q p\n")
+    for args in (["classify", target_file(tmp_path, build_hl(5))], ["gadget", csp, "--ell", "5"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                sephom + args, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")

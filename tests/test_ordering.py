@@ -1,5 +1,6 @@
 """Min orderings with the bicoloured-first refinement, and the recipes."""
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from sephom import (
     build_h1,
     build_hl,
     classify,
+    enum_targets,
+    relabel,
 )
 from sephom.ordering import (
     Ordering,
@@ -32,7 +35,12 @@ from sephom.ordering import (
     verify_min_ordering,
     verify_special,
 )
-from sephom.separable import path_form, segmented_form
+from sephom.separable import (
+    LEFT_RIGHT_SEGMENTED,
+    SegmentedForm,
+    path_form,
+    segmented_form,
+)
 
 H3_GOOD = Ordering(black_order=(3, 1, 4), white_order=(0, 2, 5))
 
@@ -128,10 +136,37 @@ def test_recipe_rejects_unusable_forms():
     pf = path_form(blue_path(6, [(0, 3), (2, 5)]))
     with pytest.raises(ValueError, match="no ordering"):
         ordering_for_segmented(pf, segmented_form(pf))
-    from sephom.separable import LEFT_RIGHT_SEGMENTED, SegmentedForm
-
     with pytest.raises(ValueError, match="pivot"):
         ordering_for_segmented(pf, SegmentedForm(LEFT_RIGHT_SEGMENTED, None))
+
+
+def test_recipe_frozen_outputs():
+    # Every path target with n <= 9 and 2,000 random segmented paths with
+    # n <= 64, each also reversed, hashed as the recipe first answered
+    # them: the kind and both class orders, or the error text, and then the
+    # error texts for a LeftRight form without its pivot and an unknown kind.
+    rng = random.Random(2019)
+    targets = list(enum_targets("path", 9))
+    targets += [random_segmented_path(rng, rng.randint(2, 64)) for _ in range(2000)]
+    digest = hashlib.sha256()
+    pivots = set()
+    for g in targets:
+        for h in (g, relabel(g, range(g.n - 1, -1, -1))):
+            pf = path_form(h)
+            f = segmented_form(pf)
+            if f.kind == LEFT_RIGHT_SEGMENTED:
+                pivots.add(f.pivot.start % 2)
+            for form in (f, SegmentedForm(LEFT_RIGHT_SEGMENTED, None), SegmentedForm("Unknown")):
+                try:
+                    o = ordering_for_segmented(pf, form)
+                    out = (form.kind, o.white_order, o.black_order)
+                except ValueError as e:
+                    out = str(e)
+                digest.update(repr(out).encode())
+    assert pivots == {0, 1}
+    assert digest.hexdigest() == (
+        "8545ea7cb1ade87eb4f2f875c4397cd39dc0607d7b51f8d08bb2c360802898a3"
+    )
 
 
 def test_cycle_target_orderings():

@@ -11,8 +11,10 @@ from helpers import (
     brute_chain_exists,
     brute_chain_min_steps,
     brute_invertible_pair,
+    brute_special_min_ordering,
     find_4cycle_pair,
     find_alternating_4cycle,
+    random_bipartite_signed_graph,
     random_path_target,
     signed_graph_st,
 )
@@ -21,7 +23,9 @@ from sephom import (
     BLUE,
     SignedGraph,
     enum_targets,
+    is_semi_balanced,
 )
+from sephom.separable import cycle_form, path_form
 from sephom.witness import (
     Chain,
     InvertiblePair,
@@ -251,3 +255,28 @@ def test_four_cycle_patterns_never_occur_without_a_chain():
         chain = find_chain(g)
         assert chain is not None and verify_chain(g, chain)
     assert seen > 0
+
+
+def test_finders_decide_orderings_beyond_separable_targets():
+    # On random semi-balanced bipartite graphs with 4 <= n <= 8, most of
+    # them neither paths nor cycles, the finders return a verified chain or
+    # invertible pair exactly when brute force finds no special min ordering.
+    rng = random.Random(2020)
+    seen = {True: 0, False: 0}
+    separable = 0
+    for _ in range(2000):
+        g = random_bipartite_signed_graph(
+            rng, rng.randint(4, 8), p_edge=rng.uniform(0.3, 0.9), p_bic=rng.uniform(0.1, 0.6)
+        )
+        if is_semi_balanced(g) is None:
+            continue
+        chain = find_chain(g)
+        pair = find_invertible_pair(g) if chain is None else None
+        assert chain is None or verify_chain(g, chain)
+        assert pair is None or verify_invertible_pair(g, pair)
+        blocked = chain is not None or pair is not None
+        assert blocked == (brute_special_min_ordering(g) is None)
+        seen[blocked] += 1
+        separable += path_form(g) is not None or cycle_form(g) is not None
+    assert min(seen.values()) > 200
+    assert separable < sum(seen.values()) // 10
