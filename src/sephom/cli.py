@@ -179,6 +179,7 @@ def run(argv: Sequence[str]) -> int:
         args = _PARSER.parse_args(list(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
+    code = 0  # the verb's own code survives a reader that has gone
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that has gone is met here, not at exit
@@ -186,7 +187,7 @@ def run(argv: Sequence[str]) -> int:
     except BrokenPipeError:
         # Silence the flush at exit too, as the Python docs' note on SIGPIPE advises.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return code
     # ParseError and json.JSONDecodeError are ValueErrors.
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -172,7 +172,7 @@ def serialize_instance(inst) -> str:
 def parse_quadcsp(text: str):
     from .hardness import QuadCsp
 
-    names: List[str] = []
+    names: Dict[str, None] = {}  # a set that keeps declaration order
     quads = []
     for line in _tokenize(text):
         tokens = line[2]
@@ -183,7 +183,7 @@ def parse_quadcsp(text: str):
             name = tokens[1]
             if name in names:
                 raise _error(line, 1, f"duplicate variable {name!r}")
-            names.append(name)
+            names[name] = None
         elif kind == "q":
             if len(tokens) != 5:
                 raise _error(line, 0, "quadruple lines are 'q <a> <b> <c> <d>'")

@@ -23,7 +23,8 @@ class QuadCsp:
 
     def __init__(self, vars: Iterable[str], quads: Iterable[Tuple[str, ...]]):
         names = tuple(vars)
-        if len(set(names)) != len(names):
+        declared = set(names)
+        if len(declared) != len(names):
             raise ValueError("duplicate variable name")
         fixed = []
         for q in quads:
@@ -31,7 +32,7 @@ class QuadCsp:
             if len(t) != 4:
                 raise ValueError("quadruple of length %d" % len(t))
             for name in t:
-                if name not in names:
+                if name not in declared:
                     raise ValueError("undeclared variable %r" % name)
             fixed.append(t)
         object.__setattr__(self, "vars", names)

@@ -291,15 +291,10 @@ def is_semi_balanced(g: SignedGraph) -> Optional[Switching]:
 def bipartition(g: SignedGraph) -> Optional[Bipartition]:
     """A 2-colouring of the underlying graph; the least vertex of each
     component goes to the white side."""
-    nbrs = _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges))
-    found = _parity_walk(nbrs, range(g.n))
-    if found is None:
+    s = _switching(g, ((u, v, 1) for u, v, _ in g.edges), range(g.n))
+    if s is None:
         return None
-    side = found[0]
-    return Bipartition(
-        black=frozenset(v for v in range(g.n) if side[v] == 1),
-        white=frozenset(v for v in range(g.n) if side[v] == 0),
-    )
+    return Bipartition(black=s.flipped, white=frozenset(range(g.n)) - s.flipped)
 
 
 def switching_equivalent(
@@ -336,14 +331,15 @@ def switching_equivalent(
     while True:
         w = n
         if v == n:
-            mapped = relabel(g, phi)
-            s_img = _switching(
-                mapped,
-                ((u, x, c is not h.colour(u, x)) for u, x, c in mapped.edges if c is not BICOLOURED),
-                range(n),
+            # Roots in image order: each component's root and bits are
+            # those of the same walk over relabel(g, phi).
+            s = _switching(
+                g,
+                ((u, x, c is not h.colour(phi[u], phi[x])) for u, x, c in g.edges if c is not BICOLOURED),
+                _inverse(phi),
             )
-            if s_img is not None:
-                return tuple(phi), Switching(u for u in range(n) if phi[u] in s_img.flipped)
+            if s is not None:
+                return tuple(phi), s
         else:
             below = (1 << v) - 1
             adj = sum(1 << phi[u] for u in _bits(g.adj_mask[v] & below))

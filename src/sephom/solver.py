@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from .sgcore import (
     BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits, _inverse, _parity_lists,
@@ -307,26 +307,24 @@ _Finish = Callable[[_Signed, List[int], List[int]], _Assigned]
 
 
 def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> Optional[Solution]:
-    """Solve inst against a bipartite target whose classes are those of the
-    ordering o, one instance component at a time. Each side assignment of a
-    component (its least vertex on black, then on white) restricts the lists
-    to the classes and runs arc consistency; finish then gets red, the
-    component in increasing order, and the masks, and returns (vertex,
-    image, switch bit) triples or None. red is the instance's one signed
-    adjacency: red[v] lists each neighbour of v in increasing order, with 1
-    for a red edge. Absent when inst is not bipartite or a component fails
-    on both sides."""
+    """Solve inst against a target whose edges all join the two classes of
+    the ordering o, one instance component at a time. Each try restricts the
+    component's least vertex to one class, black then white, and runs arc
+    consistency, whose fixpoint confines every other vertex to the class its
+    distance from the least one calls for and wipes out a list on an odd
+    cycle. finish then gets red, the component in increasing order, and the
+    masks, and returns (vertex, image, switch bit) triples or None. red is
+    the instance's one signed adjacency: red[v] lists each neighbour of v in
+    increasing order, with 1 for a red edge. Absent when a component fails
+    both tries."""
     _check_lists(inst, h)
     g = inst.g
-    found = _parity_walk(
-        _parity_lists(g.n, ((u, v, 1) for u, v, _ in g.edges)), range(g.n)
+    _, comps = _parity_walk(
+        _parity_lists(g.n, ((u, v, 0) for u, v, _ in g.edges)), range(g.n)
     )
-    if found is None:
-        return None
-    side, comps = found
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    white, black = _mask_of(o.white_order), _mask_of(o.black_order)
     nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
+    classes = (_mask_of(o.black_order), _mask_of(o.white_order))
     base = [_mask_of(l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.
     masks = list(base)
@@ -334,10 +332,12 @@ def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> O
     switch = [0] * g.n
     for comp in comps:
         comp.sort()
-        for classes in ((black, white), (white, black)):
+        root = comp[0]
+        for cls in classes:
             for v in comp:
-                masks[v] = base[v] & classes[side[v]]
-            if all(masks[v] for v in comp) and _propagate(nbrs, masks, comp, []):
+                masks[v] = base[v]
+            masks[root] &= cls
+            if masks[root] and _propagate(nbrs, masks, comp, []):
                 result = finish(red, comp, masks)
                 if result is not None:
                     break
@@ -365,7 +365,8 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
 
 
 def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
-    """The finish of solve_h1 for one component, as _by_sides calls it."""
+    """The finish of solve_h1 for one component, as _by_sides calls it;
+    masks need only hold comp's masks."""
     hw = {v: int(masks[v] & _H_WHITE != 0) for v in comp}
     boundary = [v for v in comp if masks[v] & 0b001001]
     ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
@@ -492,36 +493,27 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
     return problems
 
 
-
-def _translate(
-    sol: Optional[Solution], phi: Sequence[int], s: Switching
-) -> Optional[Solution]:
-    """A solution against relabel(apply_switching(h, s), phi) as one against h."""
-    if sol is None:
-        return None
-    inv = _inverse(phi)
-    mapping = tuple(inv[a] for a in sol.mapping)
-    flips = [
-        v
-        for v in range(len(sol.mapping))
-        if (v in sol.switching.flipped) ^ (mapping[v] in s.flipped)
-    ]
-    return Solution(mapping=mapping, switching=Switching(flips))
-
-
 def _solve_via_h1(
-    target: SignedGraph, inst: Instance, phi: Tuple[int, ...]
+    target: SignedGraph, inst: Instance, phi: Tuple[int, ...], o: Ordering
 ) -> Optional[Solution]:
-    """Solve against a target that phi aligns onto _H1. Its unicoloured
-    edges span it, so one walk rooted at the vertex phi sends to 0 gives
-    the switching: the one the equivalence search finds for this phi."""
-    _check_lists(inst, target)
+    """Solve against a target that phi aligns onto _H1, on the target as
+    given with o, the verdict's ordering: switching and relabelling keep
+    adjacency and bicoloured edges, so each component's masks read through
+    phi are those against _H1. One walk rooted at the vertex phi sends to 0
+    gives the switching s the equivalence search finds for this phi; an
+    image a comes back as inv[a], switched when inv[a] is in s."""
     uni = ((u, v, c) for u, v, c in target.edges if c is not BICOLOURED)
     s = _switching(
         target, ((u, v, c is not _H1.colour(phi[u], phi[v])) for u, v, c in uni), (phi.index(0),)
     )
-    lifted = Instance._checked(inst.g, tuple(frozenset(phi[a] for a in l) for l in inst.lists))
-    return _translate(solve_h1(lifted), phi, s)
+    inv = _inverse(phi)
+
+    def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
+        h1_masks = {v: _mask_of(phi[a] for a in _bits(masks[v])) for v in comp}
+        found = _solve_h1_component(red, comp, h1_masks)
+        return found and [(v, inv[a], p ^ (inv[a] in s.flipped)) for v, a, p in found]
+
+    return _by_sides(inst, target, o, finish)
 
 
 def solve(
@@ -541,7 +533,7 @@ def solve(
     elif alg in ("auto", "h1", "ordered"):
         verdict = classify(target)
         if verdict.reason == "MatchesH1" and alg != "ordered":
-            sol = _solve_via_h1(target, inst, verdict.phi)
+            sol = _solve_via_h1(target, inst, verdict.phi, verdict.ordering)
         elif alg == "h1":
             raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
         elif verdict.complexity == NP_COMPLETE:

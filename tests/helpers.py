@@ -5,7 +5,9 @@ from the definitions, no bitmask tricks, no pruning beyond what keeps the
 test sizes fast. The library must agree with these on every input tried.
 """
 
+import gc
 import itertools
+import time
 from collections import deque
 from typing import List, Optional, Tuple
 
@@ -967,3 +969,19 @@ def spine_graph_st(draw, max_n=12):
     flips = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=n))
     phi = draw(st.permutations(range(n)))
     return relabel(apply_switching(g, Switching(flips)), phi)
+
+
+def took(f):
+    """Seconds one call of f takes, with the cyclic collector paused for
+    the call only, as timeit pauses it: otherwise its passes over every
+    object the suite keeps alive land inside the timed call."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        assert f() is not None
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()

@@ -14,6 +14,7 @@ from sephom import (
     SignedGraph,
     build_h1,
     build_hl,
+    build_reduction_target,
     classify,
     enum_targets,
     relabel,
@@ -396,8 +397,9 @@ def test_the_module_entry_point_exits_with_the_verdict(tmp_path):
 
 
 def test_a_reader_that_has_gone_is_no_error(tmp_path):
-    """`sephom enum ... | head -1` exits 0 with nothing on stderr, and so do
-    classify and gadget writing into a pipe whose reader closed first. The
+    """`sephom enum ... | head -1` exits 0 with nothing on stderr, and
+    classify and gadget writing into a pipe whose reader closed first keep
+    their own exit codes, with nothing on stderr either. The
     child's stdout is block-buffered, as under a shell, so their short
     outputs meet the closed pipe only when flushed."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -416,7 +418,11 @@ def test_a_reader_that_has_gone_is_no_error(tmp_path):
     assert json.loads(line)["verdict"]["reason"] == "Segmented(TrivialPath)"
     assert (proc.returncode, err) == (0, b"")
     csp = write(tmp_path, "csp.txt", "v p\nv q\nq p q q p\n")
-    for args in (["classify", target_file(tmp_path, build_hl(5))], ["gadget", csp, "--ell", "5"]):
+    for args, code in (
+        (["classify", target_file(tmp_path, build_hl(5))], 0),
+        (["classify", target_file(tmp_path, build_reduction_target(5), "hard.sg")], 1),
+        (["gadget", csp, "--ell", "5"], 0),
+    ):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -425,4 +431,4 @@ def test_a_reader_that_has_gone_is_no_error(tmp_path):
             )
         finally:
             os.close(write_end)
-        assert (done.returncode, done.stderr) == (0, b"")
+        assert (done.returncode, done.stderr) == (code, b"")

@@ -12,6 +12,7 @@ from helpers import (
     ref_parse_instance,
     ref_parse_quadcsp,
     signed_graph_st,
+    took,
 )
 from sephom import build_h1, build_hl
 from sephom.files import (
@@ -127,6 +128,23 @@ def test_parse_quadcsp_errors():
         parse_quadcsp("q")
     with pytest.raises(ParseError, match="variable lines are 'v <name>'"):
         parse_quadcsp("v a b")
+
+
+def test_quadcsp_parsing_is_linear():
+    # Looking names up in a list made parsing quadratic: four times as many
+    # variables and quadruples took about 18 times as long. Each round times
+    # both sizes back to back, so a burst of load cannot land on one only.
+    texts = {}
+    for k in (2_000, 8_000):
+        rng = random.Random(k)
+        lines = ["v x%d" % i for i in range(k)]
+        lines += ["q " + " ".join("x%d" % rng.randrange(k) for _ in range(4)) for _ in range(k)]
+        texts[k] = "\n".join(lines)
+    best = {k: float("inf") for k in texts}
+    for _ in range(5):
+        for k, text in texts.items():
+            best[k] = min(best[k], took(lambda: parse_quadcsp(text)))
+    assert best[8_000] / best[2_000] < 8
 
 
 def test_serialize_graph_is_canonical():

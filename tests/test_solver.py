@@ -1,10 +1,8 @@
 """GF(2) systems, arc consistency, and the three solving routes."""
 
-import gc
 import hashlib
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +15,15 @@ from helpers import (
     hl61_with_ends_swapped,
     naive_arc_consistency,
     planted_instance,
+    random_bipartite_signed_graph,
     random_instance,
+    random_lists,
     random_path_target,
     random_relabel,
     random_signed_graph,
     random_switching,
     solution_errors,
+    took,
 )
 from sephom import (
     BICOLOURED,
@@ -30,6 +31,7 @@ from sephom import (
     RED,
     SignedGraph,
     apply_switching,
+    bipartition,
     build_h0,
     build_h1,
     build_hl,
@@ -498,20 +500,54 @@ def test_solve_ordered_decides_polynomial_targets_exactly(seed):
         assert check_solution(inst, switched, other) == []
 
 
-def took(f):
-    """Seconds one call of f takes, with the cyclic collector paused for
-    the call only, as timeit pauses it: otherwise its passes over every
-    object the suite keeps alive land inside the timed call."""
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        assert f() is not None
-        return time.perf_counter() - start
-    finally:
-        if enabled:
-            gc.enable()
+def test_arc_consistency_from_the_least_vertex_places_each_component():
+    # Every edge of a bipartite target joins its two classes, so restricting
+    # a component's least vertex to one class and running arc consistency
+    # reaches the same fixpoint as restricting every vertex to the class of
+    # its side in a 2-colouring, and wipes out a list on an odd cycle.
+    rng = random.Random(2022)
+    seen = {"yes": 0, "no": 0, "odd": 0}
+    for _ in range(6000):
+        h = random_bipartite_signed_graph(rng, rng.randint(1, 8), p_edge=rng.uniform(0.2, 0.9))
+        part = bipartition(h)
+        classes = (solver._mask_of(part.black), solver._mask_of(part.white))
+        n = rng.randint(1, 9)
+        maker = random_bipartite_signed_graph if rng.random() < 0.5 else random_signed_graph
+        g = maker(rng, n, p_edge=rng.uniform(0.1, 0.6))
+        base = [solver._mask_of(l) for l in random_lists(rng, n, h.n, rng.randint(1, h.n))]
+        nbrs = solver._target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
+        adj = [[] for _ in range(n)]
+        for u, v, _ in g.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        side = {}
+        for root in range(n):
+            if root in side:
+                continue
+            side[root] = 0
+            comp, odd = [root], False
+            for v in comp:
+                for w in adj[v]:
+                    if w not in side:
+                        side[w] = 1 - side[v]
+                        comp.append(w)
+                    odd |= side[w] == side[v]
+            for k in (0, 1):
+                rooted = list(base)
+                rooted[root] &= classes[k]
+                ok = rooted[root] != 0 and solver._propagate(nbrs, rooted, comp, [])
+                if odd:
+                    assert not ok
+                    seen["odd"] += 1
+                    continue
+                placed = list(base)
+                for v in comp:
+                    placed[v] &= classes[k ^ side[v]]
+                assert ok == (all(placed[v] for v in comp) and solver._propagate(nbrs, placed, comp, []))
+                if ok:
+                    assert [rooted[v] for v in comp] == [placed[v] for v in comp]
+                seen["yes" if ok else "no"] += 1
+    assert min(seen.values()) > 1500
 
 
 def test_side_loop_is_linear_in_the_number_of_components():
@@ -725,20 +761,20 @@ def test_solve_rejects_targets_off_its_route():
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
 def test_h1_route_reads_the_equivalence_off_the_verdict(seed):
+    # The route must answer as solve_h1 does on the instance lifted through
+    # the least equivalence onto H1, mapped back through it.
     rng = random.Random(seed)
     target = disguise(rng, build_h1())
     inst = random_instance(rng, rng.randint(1, 6), target, bipartite=rng.random() < 0.7)
-    seen = []
-    translate = solver._translate
-
-    def spy(sol, phi, s):
-        seen.append((phi, s))
-        return translate(sol, phi, s)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_translate", spy)
-        solve(target, inst, rng.choice(("auto", "h1")))
-    assert seen == [switching_equivalent(target, build_h1())]
+    phi, s = switching_equivalent(target, build_h1())
+    lifted = solve_h1(Instance(inst.g, [[phi[a] for a in l] for l in inst.lists]))
+    expected = None
+    if lifted is not None:
+        inv = sgcore._inverse(phi)
+        mapping = tuple(inv[a] for a in lifted.mapping)
+        flips = [v for v, a in enumerate(mapping) if (v in lifted.switching.flipped) ^ (a in s.flipped)]
+        expected = solver.Solution(mapping, sgcore.Switching(flips))
+    assert solve(target, inst, rng.choice(("auto", "h1"))) == expected
 
 
 def test_solve_classifies_once_and_builds_no_target(monkeypatch):
