@@ -7,6 +7,7 @@ target."""
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -162,14 +163,15 @@ def _propagate(
 
 
 def _target_nbrs(
-    g: SignedGraph, blue: List[int], red: List[int], bic: List[int]
+    g: SignedGraph, blue: List[int], red: List[int], bic: List[int],
+    memos: Dict[int, Dict[int, int]],
 ) -> _Nbrs:
     """Supports across the edges of g from one rows table per edge colour,
     over target vertices (a bicoloured edge needs a bicoloured image, any
     other edge an edge) or over the oracle's lifted values. Every table is
-    symmetric, so one serves both directions of every edge."""
+    symmetric, so one serves both directions of every edge. memos maps the
+    id of each table to its memo, and gains one for a table it lacks."""
     nbrs: _Nbrs = [[] for _ in range(g.n)]
-    memos: Dict[int, Dict[int, int]] = {}
     by_blue, by_red, by_bic = [
         (rows, memos.setdefault(id(rows), {})) for rows in (blue, red, bic)
     ]
@@ -189,7 +191,7 @@ def arc_consistency(
     masks = [_mask_of(l) for l in inst.lists]
     if 0 in masks:
         return None
-    nbrs = _target_nbrs(inst.g, h.adj_mask, h.adj_mask, h.bic_mask)
+    nbrs = _target_nbrs(inst.g, h.adj_mask, h.adj_mask, h.bic_mask, {})
     if not _propagate(nbrs, masks, range(inst.g.n), []):
         return None
     return tuple(frozenset(_bits(m)) for m in masks)
@@ -214,6 +216,22 @@ def _lifted_rows(h: SignedGraph) -> Tuple[List[int], List[int], List[int]]:
                 differ[x] |= 2 << y
                 differ[x + 1] |= 1 << y
     return blue, red, bic
+
+
+# A memo or list map past this size is cleared when a call starts, so a
+# stream of distinct lists against one target cannot grow it without bound.
+_MEMO_CAP = 4096
+_Oracle = Tuple[Tuple[List[int], List[int], List[int]], Dict[int, Dict[int, int]],
+                Dict[FrozenSet[int], int]]
+
+
+@functools.lru_cache(maxsize=8)
+def _oracle_tables(h: SignedGraph) -> _Oracle:
+    """solve_oracle's state for h, kept across calls on equal targets: the
+    lifted rows tables, their memos as _target_nbrs keys them, and a map from
+    a list to its lifted mask. Memos and masks depend on h alone, so a warm
+    entry changes no output."""
+    return _lifted_rows(h), {}, {}
 
 
 def _search(
@@ -274,15 +292,26 @@ def solve_oracle(
     consistency on the lifted supports after every choice, counting
     backtracks. An edge of colour c supports (a, p)-(b, q) when h.colour(a,
     b) is bicoloured, or when c and h.colour(a, b) are both unicoloured and
-    p ^ q is 1 exactly when they differ."""
+    p ^ q is 1 exactly when they differ.
+
+    The lifted tables, their support memos and the lifted list masks are
+    kept per target across calls, for the 8 targets used last, and a memo or
+    list map past 4,096 entries is cleared when a call starts."""
     _check_lists(inst, h)
     if stats is not None:
         stats.setdefault("backtracks", 0)
     g = inst.g
-    masks = [_mask_of(2 * a for a in l) * 3 for l in inst.lists]
+    rows, memos, lifted = _oracle_tables(h)
+    for kept in (lifted, *memos.values()):
+        if len(kept) > _MEMO_CAP:
+            kept.clear()
+    masks = [
+        lifted[l] if l in lifted else lifted.setdefault(l, _mask_of(2 * a for a in l) * 3)
+        for l in inst.lists
+    ]
     if 0 in masks:
         return None
-    nbrs = _target_nbrs(g, *_lifted_rows(h))
+    nbrs = _target_nbrs(g, *rows, memos)
     if not _propagate(nbrs, masks, range(g.n), []):
         return None
     _, comps = _parity_walk(
@@ -323,7 +352,7 @@ def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> O
         _parity_lists(g.n, ((u, v, 0) for u, v, _ in g.edges)), range(g.n)
     )
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
+    nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask, {})
     classes = (_mask_of(o.black_order), _mask_of(o.white_order))
     base = [_mask_of(l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.

@@ -253,8 +253,9 @@ def test_solve_oracle_frozen_outputs():
     )
 
 
-def test_solve_oracle_lifts_the_target_once_per_call(monkeypatch):
-    # Every vertex has its own list, and every edge colour occurs.
+def test_solve_oracle_lifts_each_target_once_across_calls(monkeypatch):
+    # Every vertex has its own list, and every edge colour occurs. Equal
+    # targets share one cache entry, so a rebuilt copy of h is not lifted.
     built = []
     real = solver._lifted_rows
 
@@ -263,14 +264,55 @@ def test_solve_oracle_lifts_the_target_once_per_call(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(solver, "_lifted_rows", counted)
+    solver._oracle_tables.cache_clear()
     h = build_reduction_target(7)
     lists = [frozenset(b for b in range(h.n) if v >> b & 1) for v in range(1, 2**h.n, 37)]
     colours = (BLUE, RED, BICOLOURED)
     g = SignedGraph(len(lists), [(v, v + 1, colours[v % 3]) for v in range(len(lists) - 1)])
-    for inst in (Instance(g, lists), Instance(g, full_lists(g.n, h))):
-        built.clear()
+    rebuilt = SignedGraph(h.n, [(v, u, c) for u, v, c in reversed(h.edges)])
+    for inst, target in ((Instance(g, lists), h), (Instance(g, full_lists(g.n, h)), h),
+                         (Instance(g, lists), rebuilt)):
+        solve_oracle(inst, target)
+    assert built == [h]
+    other = build_reduction_target(5)
+    solve_oracle(Instance(g, full_lists(g.n, other)), other)
+    assert built == [h, other]
+
+
+def test_solve_oracle_warm_and_cold_caches_agree():
+    # The frozen sweep once from an empty cache and once on the entries it
+    # left: kept tables and memos change no output.
+    solver._oracle_tables.cache_clear()
+    test_solve_oracle_frozen_outputs()
+    cold = solver._oracle_tables.cache_info()
+    test_solve_oracle_frozen_outputs()
+    assert solver._oracle_tables.cache_info().hits > cold.hits > 0
+    h = build_reduction_target(5)
+    solve_oracle(Instance(blue_path(2), full_lists(2, h)), h)
+    with pytest.raises(ValueError, match="list value outside the target"):
+        solve_oracle(Instance(blue_path(2), [{0}, {h.n}]), h)
+
+
+def test_solve_oracle_cache_stays_bounded():
+    rng = random.Random(41)
+    solver._oracle_tables.cache_clear()
+    maxsize = solver._oracle_tables.cache_info().maxsize
+    for n in range(3, 3 + maxsize + 4):
+        h = random_signed_graph(rng, n)
+        solve_oracle(Instance(blue_path(2), full_lists(2, h)), h)
+    assert solver._oracle_tables.cache_info().currsize == maxsize
+    # Distinct random lists against one target grow the list map and the
+    # memos past the cap; the next call clears each one that is.
+    h = random_signed_graph(rng, 14, p_edge=0.6)
+    _, memos, lifted = solver._oracle_tables(h)
+    peak = 0
+    for _ in range(700):
+        inst = random_instance(rng, 10, h, p_edge=0.3, max_list=h.n)
         solve_oracle(inst, h)
-        assert built == [h]
+        peak = max(peak, len(lifted), *map(len, memos.values()))
+    assert peak > solver._MEMO_CAP
+    solve_oracle(Instance(blue_path(1), [{0}]), h)
+    assert max(len(lifted), *map(len, memos.values())) <= solver._MEMO_CAP
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -515,7 +557,7 @@ def test_arc_consistency_from_the_least_vertex_places_each_component():
         maker = random_bipartite_signed_graph if rng.random() < 0.5 else random_signed_graph
         g = maker(rng, n, p_edge=rng.uniform(0.1, 0.6))
         base = [solver._mask_of(l) for l in random_lists(rng, n, h.n, rng.randint(1, h.n))]
-        nbrs = solver._target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask)
+        nbrs = solver._target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask, {})
         adj = [[] for _ in range(n)]
         for u, v, _ in g.edges:
             adj[u].append(v)
