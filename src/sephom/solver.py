@@ -1,9 +1,9 @@
 """List-homomorphism solvers: arc consistency; one loop over instance
-components and side assignments behind the ordered solver (least value by
-rank, then a balance walk) and the region/parity-walk algorithm for the
-small unbalanced cycle target; a propagate-and-search oracle over (target
-vertex, switch bit) values for any target; solve picks the route for a
-target."""
+components and side assignments, over the places of the target's special
+min ordering, behind the ordered solver (least place, then a balance walk)
+and the region/parity-walk algorithm for the small unbalanced cycle target;
+a propagate-and-search oracle over (target vertex, switch bit) values for
+any target; solve picks the route for a target."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from .sgcore import (
-    BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits, _inverse, _parity_lists,
-    _parity_walk, _switching, is_semi_balanced,
+    BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
+    _switching, is_semi_balanced,
 )
 from . import targets
 from .classify import NP_COMPLETE, classify
@@ -33,15 +33,16 @@ class Instance:
         frozen = tuple(frozenset(x) for x in lists)
         if len(frozen) != g.n:
             raise ValueError("need one list per vertex")
-        if any(a < 0 for l in frozen for a in l):
-            raise ValueError("negative list value")
+        # bool is a subclass of int, so True would pass an isinstance check.
+        if any(type(a) is not int or a < 0 for l in frozen for a in l):
+            raise ValueError("list values must be non-negative ints")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lists", frozen)
 
     @classmethod
     def _checked(cls, g: SignedGraph, lists: Tuple[FrozenSet[int], ...]) -> "Instance":
         """The instance of one frozen list per vertex of g, its values
-        already checked to be non-negative, as __init__ checks them."""
+        already checked to be non-negative ints, as __init__ checks them."""
         inst = cls.__new__(cls)
         object.__setattr__(inst, "g", g)
         object.__setattr__(inst, "lists", lists)
@@ -116,8 +117,8 @@ def _mask_of(values: Iterable[int]) -> int:
     return m
 
 
-def _check_lists(inst: Instance, h: SignedGraph) -> None:
-    if any(a >= h.n for l in inst.lists for a in l):
+def _check_lists(inst: Instance, n: int) -> None:
+    if any(a >= n for l in inst.lists for a in l):
         raise ValueError("list value outside the target")
 
 
@@ -167,10 +168,10 @@ def _target_nbrs(
     memos: Dict[int, Dict[int, int]],
 ) -> _Nbrs:
     """Supports across the edges of g from one rows table per edge colour,
-    over target vertices (a bicoloured edge needs a bicoloured image, any
-    other edge an edge) or over the oracle's lifted values. Every table is
-    symmetric, so one serves both directions of every edge. memos maps the
-    id of each table to its memo, and gains one for a table it lacks."""
+    over places or target vertices (a bicoloured edge needs a bicoloured
+    image, any other edge an edge) or the oracle's lifted values. Every table
+    is symmetric, so one serves both directions of every edge. memos maps
+    the id of each table to its memo, and gains one for a table it lacks."""
     nbrs: _Nbrs = [[] for _ in range(g.n)]
     by_blue, by_red, by_bic = [
         (rows, memos.setdefault(id(rows), {})) for rows in (blue, red, bic)
@@ -187,7 +188,7 @@ def arc_consistency(
 ) -> Optional[Tuple[FrozenSet[int], ...]]:
     """Fixpoint of the underlying and bicoloured support passes; absent when
     a list empties. Every solution survives."""
-    _check_lists(inst, h)
+    _check_lists(inst, h.n)
     masks = [_mask_of(l) for l in inst.lists]
     if 0 in masks:
         return None
@@ -297,7 +298,7 @@ def solve_oracle(
     The lifted tables, their support memos and the lifted list masks are
     kept per target across calls, for the 8 targets used last, and a memo or
     list map past 4,096 entries is cleared when a call starts."""
-    _check_lists(inst, h)
+    _check_lists(inst, h.n)
     if stats is not None:
         stats.setdefault("backtracks", 0)
     g = inst.g
@@ -335,26 +336,29 @@ _Assigned = Optional[List[Tuple[int, int, int]]]
 _Finish = Callable[[_Signed, List[int], List[int]], _Assigned]
 
 
-def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> Optional[Solution]:
+def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Optional[Solution]:
     """Solve inst against a target whose edges all join the two classes of
-    the ordering o, one instance component at a time. Each try restricts the
-    component's least vertex to one class, black then white, and runs arc
-    consistency, whose fixpoint confines every other vertex to the class its
-    distance from the least one calls for and wipes out a list on an odd
-    cycle. finish then gets red, the component in increasing order, and the
-    masks, and returns (vertex, image, switch bit) triples or None. red is
-    the instance's one signed adjacency: red[v] lists each neighbour of v in
-    increasing order, with 1 for a red edge. Absent when a component fails
-    both tries."""
-    _check_lists(inst, h)
+    the ordering o, one instance component at a time, over the places of o
+    in table, the target's _rank_rows: bit r of a mask stands for order[r].
+    Each try restricts the component's least vertex to one class, black
+    (places from len(o.white_order)) then white, and runs arc consistency,
+    whose fixpoint confines every other vertex to the class its distance
+    from the least one calls for and wipes out a list on an odd cycle.
+    finish then gets red, the component in increasing order, and the masks,
+    and returns (vertex, place, switch bit) triples or None. red[v] lists
+    each neighbour of v in increasing order, with 1 for a red edge: the
+    instance's one signed adjacency. Absent when a component fails both."""
+    order, place, uni, bic = table
+    _check_lists(inst, len(order))
     g = inst.g
     _, comps = _parity_walk(
         _parity_lists(g.n, ((u, v, 0) for u, v, _ in g.edges)), range(g.n)
     )
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    nbrs = _target_nbrs(g, h.adj_mask, h.adj_mask, h.bic_mask, {})
-    classes = (_mask_of(o.black_order), _mask_of(o.white_order))
-    base = [_mask_of(l) for l in inst.lists]
+    adj = [uni[a] | bic[a] for a in order]
+    nbrs = _target_nbrs(g, adj, adj, [bic[a] for a in order], {})
+    white = (1 << len(o.white_order)) - 1
+    base = [sum(1 << place[a] for a in l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.
     masks = list(base)
     mapping = [-1] * g.n
@@ -362,7 +366,7 @@ def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> O
     for comp in comps:
         comp.sort()
         root = comp[0]
-        for cls in classes:
+        for cls in (~white, white):
             for v in comp:
                 masks[v] = base[v]
             masks[root] &= cls
@@ -372,8 +376,8 @@ def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> O
                     break
         else:
             return None
-        for v, a, p in result:
-            mapping[v] = a
+        for v, r, p in result:
+            mapping[v] = order[r]
             switch[v] = p
     return Solution(
         mapping=tuple(mapping), switching=Switching(v for v in range(g.n) if switch[v])
@@ -382,7 +386,8 @@ def _by_sides(inst: Instance, h: SignedGraph, o: Ordering, finish: _Finish) -> O
 
 _H1 = targets.build_h1()
 _H1_ORDERING = ordering_for_cycle_target(targets.H1)
-_H_WHITE = _mask_of(_H1_ORDERING.white_order)
+# Places 0-5 of H1: white's ground, long and short value, then black's: 0, 2, 5, 3, 1, 4.
+_H1_TABLE = _rank_rows(_H1, _H1_ORDERING)
 
 
 def solve_h1(inst: Instance) -> Optional[Solution]:
@@ -390,13 +395,13 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one parity walk per component tying region choices to boundary
     switchings."""
-    return _by_sides(inst, _H1, _H1_ORDERING, _solve_h1_component)
+    return _by_sides(inst, _H1_ORDERING, _H1_TABLE, _solve_h1_component)
 
 
 def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
-    """The finish of solve_h1 for one component, as _by_sides calls it;
-    masks need only hold comp's masks."""
-    hw = {v: int(masks[v] & _H_WHITE != 0) for v in comp}
+    """The finish of solve_h1 for one component, as _by_sides calls it, over
+    H1's places; masks need only hold comp's masks."""
+    hw = {v: int(masks[v] & 0b000111 != 0) for v in comp}
     boundary = [v for v in comp if masks[v] & 0b001001]
     ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
     interior = [v for v in comp if v not in ground]
@@ -410,24 +415,23 @@ def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Ass
     sigma, regions = found
 
     # Every edge from a region to a ground vertex maps onto a blue edge of H1
-    # (0-1, 0-4, 2-3 or 3-5), so a region vertex k of class hw[k] switches by
-    # sigma[k] ^ c and each ground neighbour across an edge of red parity r by
-    # r ^ sigma[k] ^ c, where c is one bit per (region, class): the bit of
-    # node len(boundary) + 2 * ridx + hw[k] in a walk whose first nodes are
-    # the boundary vertices. A region's own edges then ask for equal class
-    # bits on the long side {1, 2} and, across the red edge, unequal ones on
-    # the short side {4, 5}. A region that fits one side only is tied to it;
-    # one that fits both takes the long side unless ground vertices of both
-    # classes decide. Every region fits a side: across an interior edge a
-    # long value (1, 2) finds support only in a long value and a short one
-    # (4, 5) only in a short one, so after arc consistency a region has its
-    # long values at every vertex or at none, and likewise its short ones;
-    # no list is empty.
+    # (places 0-4, 0-5, 1-3 or 2-3), so a region vertex k of class hw[k]
+    # switches by sigma[k] ^ c and each ground neighbour across an edge of
+    # red parity r by r ^ sigma[k] ^ c, where c is one bit per (region,
+    # class): the bit of node len(boundary) + 2 * ridx + hw[k] in a walk
+    # whose first nodes are the boundary vertices. A region's own edges then
+    # ask for equal class bits on the long side {1, 4} and, across the red
+    # edge, unequal ones on the short side {2, 5}. A region that fits one
+    # side only is tied to it; one that fits both takes the long side unless
+    # ground vertices of both classes decide. Every region fits a side:
+    # across an interior edge long values support only long ones and short
+    # only short, so after arc consistency a region has long values at every
+    # vertex or at none, and likewise short ones; no list is empty.
     slot = {a: i for i, a in enumerate(boundary)}
     ties: List[Tuple[int, int, int]] = []
     for ridx, region in enumerate(regions):
-        t_ok = all(masks[k] >> (1 + hw[k]) & 1 for k in region)
-        s_ok = all(masks[k] >> (4 + hw[k]) & 1 for k in region)
+        t_ok = all(masks[k] >> (4 - 3 * hw[k]) & 1 for k in region)
+        s_ok = all(masks[k] >> (5 - 3 * hw[k]) & 1 for k in region)
         node = len(boundary) + 2 * ridx
         touched = set()
         for k in region:
@@ -446,9 +450,9 @@ def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Ass
     out = [(a, ground[a], bit[slot[a]]) for a in boundary]
     for ridx, region in enumerate(regions):
         node = len(boundary) + 2 * ridx
-        side = 1 if bit[node] == bit[node + 1] else 4
+        side = 4 if bit[node] == bit[node + 1] else 5
         for k in region:
-            out.append((k, side + hw[k], sigma[k] ^ bit[node + hw[k]]))
+            out.append((k, side - 3 * hw[k], sigma[k] ^ bit[node + hw[k]]))
     return out
 
 
@@ -457,15 +461,15 @@ def solve_ordered(
 ) -> Optional[Solution]:
     """Exact decision for a semi-balanced target with a special min
     ordering o, without search: per instance component and side assignment,
-    arc consistency, then every vertex takes the value of least rank in o
-    left in its list, and one parity walk over the edges whose image is
-    unicoloured finds the switching that gives each its image's sign; a
+    arc consistency over the places of o, then every vertex takes the least
+    place left in its list, and one parity walk over the edges whose image
+    is unicoloured finds the switching that gives each its image's sign; a
     conflict fails the side. stats["backtracks"] stays 0.
 
     o is checked as verify_min_ordering and verify_special check it, from
-    one rank-row table: O(n + m) for the table, then O(|W|) and O(n)
-    big-int operations for the two scans."""
-    _, rank, uni, bic = _rank_rows(h, o)
+    the rank-row table the solve then reads: O(n + m) for the table, then
+    O(|W|) and O(n) big-int operations for the two scans."""
+    order, _, uni, bic = table = _rank_rows(h, o)
     if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
     if is_semi_balanced(h) is None:
@@ -474,11 +478,12 @@ def solve_ordered(
         stats.setdefault("backtracks", 0)
 
     def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
-        image = {v: min(_bits(masks[v]), key=rank.__getitem__) for v in comp}
+        image = {v: (masks[v] & -masks[v]).bit_length() - 1 for v in comp}
         onto_uni = {v: [] for v in comp}
         for v in comp:
+            a = order[image[v]]
             for w, p in red[v]:
-                ic = h.colour(image[v], image[w])
+                ic = h.colour(a, order[image[w]])
                 if ic is not BICOLOURED:
                     onto_uni[v].append((w, p ^ (ic is RED)))
         found = _parity_walk(onto_uni, comp)
@@ -486,7 +491,7 @@ def solve_ordered(
             return None
         return [(v, image[v], found[0][v]) for v in comp]
 
-    return _by_sides(inst, h, o, finish)
+    return _by_sides(inst, o, table, finish)
 
 
 def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
@@ -522,27 +527,22 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
     return problems
 
 
-def _solve_via_h1(
-    target: SignedGraph, inst: Instance, phi: Tuple[int, ...], o: Ordering
-) -> Optional[Solution]:
-    """Solve against a target that phi aligns onto _H1, on the target as
-    given with o, the verdict's ordering: switching and relabelling keep
-    adjacency and bicoloured edges, so each component's masks read through
-    phi are those against _H1. One walk rooted at the vertex phi sends to 0
-    gives the switching s the equivalence search finds for this phi; an
-    image a comes back as inv[a], switched when inv[a] is in s."""
-    uni = ((u, v, c) for u, v, c in target.edges if c is not BICOLOURED)
-    s = _switching(
-        target, ((u, v, c is not _H1.colour(phi[u], phi[v])) for u, v, c in uni), (phi.index(0),)
-    )
-    inv = _inverse(phi)
-
-    def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
-        h1_masks = {v: _mask_of(phi[a] for a in _bits(masks[v])) for v in comp}
-        found = _solve_h1_component(red, comp, h1_masks)
-        return found and [(v, inv[a], p ^ (inv[a] in s.flipped)) for v, a, p in found]
-
-    return _by_sides(inst, target, o, finish)
+def _solve_via_h1(target: SignedGraph, inst: Instance, o: Ordering) -> Optional[Solution]:
+    """Solve against a target matching H1 as given, with o, the verdict's
+    ordering: _H1_ORDERING pulled back through the alignment, so the
+    target's places are H1's. One walk rooted at order[0], over unicoloured
+    edges against H1's colours at the same places, gives the switching s the
+    equivalence search finds; every vertex whose image is in s flips."""
+    order, place, _, _ = table = _rank_rows(target, o)
+    h1 = _H1_TABLE[0]
+    s = _switching(target, (
+        (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
+        for u, v, c in target.edges if c is not BICOLOURED
+    ), (order[0],)).flipped
+    sol = _by_sides(inst, o, table, _solve_h1_component)
+    return sol and Solution(sol.mapping, Switching(
+        sol.switching.flipped ^ {v for v, a in enumerate(sol.mapping) if a in s}
+    ))
 
 
 def solve(
@@ -550,8 +550,8 @@ def solve(
 ) -> Optional[Solution]:
     """Decide inst against target by the route alg names: "oracle" for any
     target, or a route read off the target's verdict, from one classify
-    call: h1 when the verdict matches the 6-vertex unbalanced cycle, which
-    reuses the verdict's alignment phi, else ordered by the verdict's
+    call: h1 when the verdict matches the 6-vertex unbalanced cycle, over
+    the places of the verdict's ordering, else ordered by the verdict's
     special min ordering. "auto" takes that route; "h1" and "ordered" only
     check that it is the one they name. Raises ValueError when the route
     does not apply to the target, or when a solution fails check_solution."""
@@ -562,7 +562,7 @@ def solve(
     elif alg in ("auto", "h1", "ordered"):
         verdict = classify(target)
         if verdict.reason == "MatchesH1" and alg != "ordered":
-            sol = _solve_via_h1(target, inst, verdict.phi, verdict.ordering)
+            sol = _solve_via_h1(target, inst, verdict.ordering)
         elif alg == "h1":
             raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
         elif verdict.complexity == NP_COMPLETE:

@@ -39,8 +39,8 @@ from sephom import (
     switching_equivalent,
 )
 from sephom import ordering, sgcore, solver, targets
-from sephom.classify import POLYNOMIAL, classify_path
-from sephom.files import parse_instance
+from sephom.classify import POLYNOMIAL, classify, classify_path
+from sephom.files import parse_graph, parse_instance, serialize_graph
 from sephom.hardness import QuadCsp, build_reduction
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
@@ -74,6 +74,16 @@ def test_instance_validation():
         Instance(g, [range(2)])
     with pytest.raises(ValueError, match="negative"):
         Instance(g, [[0], [-1]])
+
+
+def test_instance_rejects_list_values_that_are_not_ints():
+    # A float or a string used to get through and fail later as a TypeError;
+    # True is an int subclass but no vertex id, as `sephom verify` holds.
+    g = blue_path(2)
+    for bad in (0.5, "1", True, None):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            Instance(g, [[0], [bad]])
+    assert Instance(g, [[0], [1]]).lists == (frozenset({0}), frozenset({1}))
 
 
 def test_lists_must_fit_the_target():
@@ -660,6 +670,17 @@ def disguise(rng, g):
     return random_relabel(rng, apply_switching(g, random_switching(rng, g.n)))[0]
 
 
+def test_the_side_routes_never_build_the_targets_masks():
+    # Both side routes read the target only through the rank rows of its
+    # ordering, so a freshly parsed target ends every solve without masks.
+    rng = random.Random(8)
+    for h in (disguise(rng, build_hl(7)), right_segmented_path(), disguise(rng, build_h1())):
+        target = parse_graph(serialize_graph(h))
+        for inst in (planted_instance(rng, target, 12, 6, 2), random_instance(rng, 8, target)):
+            solve(target, inst)
+        assert "adj_mask" not in vars(target) and "bic_mask" not in vars(target)
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=100, deadline=None)
 def test_solve_routes_agree_with_the_oracle(seed):
@@ -809,6 +830,11 @@ def test_h1_route_reads_the_equivalence_off_the_verdict(seed):
     target = disguise(rng, build_h1())
     inst = random_instance(rng, rng.randint(1, 6), target, bipartite=rng.random() < 0.7)
     phi, s = switching_equivalent(target, build_h1())
+    # The verdict's ordering puts at each place the vertex phi sends to
+    # H1's vertex at that place, so the route runs over H1's places.
+    o, h1 = classify(target).ordering, solver._H1_ORDERING
+    places = o.white_order + o.black_order
+    assert tuple(phi[v] for v in places) == h1.white_order + h1.black_order
     lifted = solve_h1(Instance(inst.g, [[phi[a] for a in l] for l in inst.lists]))
     expected = None
     if lifted is not None:
