@@ -21,9 +21,8 @@ def _tokenize(text: str) -> List[Tuple[int, str, List[str]]]:
     any '#', its tokens)."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        hash_at = raw.find("#")
-        if hash_at >= 0:
-            raw = raw[:hash_at]
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
         tokens = raw.split()
         if tokens:
             out.append((lineno, raw, tokens))
@@ -118,25 +117,32 @@ def serialize_graph(g: SignedGraph) -> str:
 def parse_instance(text: str, target_n: int):
     """Parse a graph plus 'l <v> <t1> <t2> ...' list lines.
 
-    Vertices without a list line get the full target vertex set.
+    Vertices without a list line get the full target vertex set. List lines
+    with the same tokens after the vertex id share one frozenset, converted
+    and checked once.
     """
     from .solver import Instance
 
     g, rest = _parse_graph_lines(_tokenize(text))
     lists: List[Optional[frozenset]] = [None] * g.n
+    checked: Dict[Tuple[str, ...], frozenset] = {}
     for line in rest:
         try:
             kind, head, *tail = line[2]
             v = int(head)
-            values = frozenset(map(int, tail))
         except ValueError:
             _reject_list(line, g.n, target_n, lists)
-        if (
-            kind != "l"
-            or not 0 <= v < g.n
-            or lists[v] is not None
-            or values and (min(values) < 0 or max(values) >= target_n)
-        ):
+        key = tuple(tail)
+        values = checked.get(key)
+        if values is None:
+            try:
+                values = frozenset(map(int, tail))
+            except ValueError:
+                _reject_list(line, g.n, target_n, lists)
+            if values and (min(values) < 0 or max(values) >= target_n):
+                _reject_list(line, g.n, target_n, lists)
+            checked[key] = values
+        if kind != "l" or not 0 <= v < g.n or lists[v] is not None:
             _reject_list(line, g.n, target_n, lists)
         lists[v] = values
     full = frozenset(range(target_n))

@@ -183,6 +183,25 @@ def _target_nbrs(
     return nbrs
 
 
+def _components(nbrs: _Nbrs) -> List[List[int]]:
+    """The components of the graph whose adjacency nbrs is, in the order of
+    their least vertices, each from that vertex in visiting order."""
+    seen = [False] * len(nbrs)
+    comps = []
+    for root in range(len(nbrs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for u, _, _ in nbrs[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        comps.append(comp)
+    return comps
+
+
 def arc_consistency(
     inst: Instance, h: SignedGraph
 ) -> Optional[Tuple[FrozenSet[int], ...]]:
@@ -315,10 +334,7 @@ def solve_oracle(
     nbrs = _target_nbrs(g, *rows, memos)
     if not _propagate(nbrs, masks, range(g.n), []):
         return None
-    _, comps = _parity_walk(
-        _parity_lists(g.n, ((u, w, 0) for u, w, _ in g.edges)), range(g.n)
-    )
-    for comp in comps:
+    for comp in _components(nbrs):
         found, backtracks = _search(nbrs, masks, comp)
         if stats is not None:
             stats["backtracks"] += backtracks
@@ -349,21 +365,26 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
     each neighbour of v in increasing order, with 1 for a red edge: the
     instance's one signed adjacency. Absent when a component fails both."""
     order, place, uni, bic = table
-    _check_lists(inst, len(order))
     g = inst.g
-    _, comps = _parity_walk(
-        _parity_lists(g.n, ((u, v, 0) for u, v, _ in g.edges)), range(g.n)
-    )
+    # Each distinct list is checked and turned into a mask of places once.
+    as_mask: Dict[FrozenSet[int], int] = {}
+    base = []
+    for l in inst.lists:
+        m = as_mask.get(l)
+        if m is None:
+            if any(a >= len(order) for a in l):
+                raise ValueError("list value outside the target")
+            m = as_mask[l] = sum(1 << place[a] for a in l)
+        base.append(m)
     red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
     adj = [uni[a] | bic[a] for a in order]
     nbrs = _target_nbrs(g, adj, adj, [bic[a] for a in order], {})
     white = (1 << len(o.white_order)) - 1
-    base = [sum(1 << place[a] for a in l) for l in inst.lists]
     # One masks list for all components: a try resets only its own entries.
     masks = list(base)
     mapping = [-1] * g.n
     switch = [0] * g.n
-    for comp in comps:
+    for comp in _components(nbrs):
         comp.sort()
         root = comp[0]
         for cls in (~white, white):
@@ -472,20 +493,25 @@ def solve_ordered(
     order, _, uni, bic = table = _rank_rows(h, o)
     if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
-    if is_semi_balanced(h) is None:
+    t = is_semi_balanced(h)
+    if t is None:
         raise ValueError("target is not semi-balanced")
     if stats is not None:
         stats.setdefault("backtracks", 0)
+    # Whether t flips the vertex at each place. t makes every unicoloured
+    # edge blue, so one is red when t flips exactly one of its ends.
+    flip_at = [int(a in t.flipped) for a in order]
 
     def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
         image = {v: (masks[v] & -masks[v]).bit_length() - 1 for v in comp}
         onto_uni = {v: [] for v in comp}
         for v in comp:
-            a = order[image[v]]
+            r = image[v]
+            row, fr = bic[order[r]], flip_at[r]
             for w, p in red[v]:
-                ic = h.colour(a, order[image[w]])
-                if ic is not BICOLOURED:
-                    onto_uni[v].append((w, p ^ (ic is RED)))
+                s = image[w]
+                if not row >> s & 1:
+                    onto_uni[v].append((w, p ^ fr ^ flip_at[s]))
         found = _parity_walk(onto_uni, comp)
         if found is None:
             return None
@@ -510,8 +536,11 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
     if problems:
         return problems
     flip = sol.switching.flipped
+    colour = h._colour.get
+    mapping = sol.mapping
     for u, v, c in g.edges:
-        ic = h.colour(sol.mapping[u], sol.mapping[v])
+        a, b = mapping[u], mapping[v]
+        ic = colour((a, b) if a < b else (b, a))
         if ic is None:
             problems.append("edge %d %d maps to a non-edge" % (u, v))
             continue

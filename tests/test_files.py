@@ -106,6 +106,29 @@ def test_parse_instance_errors():
         parse_instance("sg 1\nl", 2)
 
 
+def test_equal_list_lines_share_one_checked_set():
+    head = "sg 10\ne 0 1 +\nl 0 1 4\nl 7 1 4\n"
+    inst = parse_instance(head + "l 9 4 1\n", 6)
+    assert inst.lists[0] is inst.lists[7]
+    assert inst.lists[9] == inst.lists[0] == {1, 4}
+    # A line whose values repeat a checked line's still fails every other
+    # check, and a bad value is reported where it first occurs, at the same
+    # position as the reference finds it.
+    for line in (
+        "l 12 1 4",
+        "l 7 1 4",
+        "x 3 1 4",
+        "l 3 1 x4",
+        "l 3 1 4 6",
+        "l 3 1 4 6\nl 5 1 4 6",
+        "l 3 x4 1\nl 5 x4 1",
+    ):
+        text = head + line + "\n"
+        found = _outcome(parse_instance, text, 6)
+        assert found[0] == "error"
+        assert found == _outcome(ref_parse_instance, text, 6)
+
+
 def test_quadcsp_round_trip():
     csp = parse_quadcsp("v p\nv q\nq p q p q\nq q q q q\n")
     assert csp.vars == ("p", "q")

@@ -660,6 +660,37 @@ def test_a_large_path_instance_never_builds_its_masks(monkeypatch):
     assert "adj_mask" not in vars(inst.g) and "bic_mask" not in vars(inst.g)
 
 
+def test_the_routes_walk_no_unsigned_lists_and_read_no_target_colours(monkeypatch):
+    # Components come from the support lists the routes build anyway, and
+    # the ordered finish reads image colours off the place rows and the
+    # target's semi-balancing switching. Counting calls, not timing them,
+    # keeps this independent of machine load.
+    built = []
+    build = solver._parity_lists
+
+    def spy(n, edges):
+        edges = list(edges)
+        built.append((n, edges))
+        return build(n, edges)
+
+    monkeypatch.setattr(solver, "_parity_lists", spy)
+    rng = random.Random(23)
+    for h, route in ((disguise(rng, build_hl(7)), "ordered"), (right_segmented_path(), "ordered"),
+                     (disguise(rng, build_h1()), "h1")):
+        inst = planted_instance(rng, h, 60, 6, 2)
+        assert {c for _, _, c in inst.g.edges} >= {BLUE, RED}
+        unsigned = (inst.g.n, [(u, v, 0) for u, v, _ in inst.g.edges])
+        reads = []
+        h.colour = lambda u, v, read=h.colour: reads.append((u, v)) or read(u, v)
+        for alg in ("auto", "oracle"):
+            built.clear()
+            sol = solve(h, inst, alg)
+            assert sol is not None and check_solution(inst, h, sol) == []
+            assert unsigned not in built
+            if route == "ordered":
+                assert reads == []
+
+
 def right_segmented_path():
     edges = [(i, i + 1, BLUE) for i in range(7)]
     edges += [(i, j, BICOLOURED) for i, j in [(0, 3), (0, 5), (0, 7), (2, 5), (2, 7), (4, 7)]]
