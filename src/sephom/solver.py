@@ -117,11 +117,6 @@ def _mask_of(values: Iterable[int]) -> int:
     return m
 
 
-def _check_lists(inst: Instance, n: int) -> None:
-    if any(a >= n for l in inst.lists for a in l):
-        raise ValueError("list value outside the target")
-
-
 # nbrs[w] lists (u, rows, memo) for each neighbour u of w: rows[j] is the
 # mask of u's values that w's value j supports, and memo maps a mask of w's
 # values to the union of their rows. Edges whose colours map to the same
@@ -207,8 +202,9 @@ def arc_consistency(
 ) -> Optional[Tuple[FrozenSet[int], ...]]:
     """Fixpoint of the underlying and bicoloured support passes; absent when
     a list empties. Every solution survives."""
-    _check_lists(inst, h.n)
     masks = [_mask_of(l) for l in inst.lists]
+    if any(m >> h.n for m in masks):
+        raise ValueError("list value outside the target")
     if 0 in masks:
         return None
     nbrs = _target_nbrs(inst.g, h.adj_mask, h.adj_mask, h.bic_mask, {})
@@ -317,7 +313,6 @@ def solve_oracle(
     The lifted tables, their support memos and the lifted list masks are
     kept per target across calls, for the 8 targets used last, and a memo or
     list map past 4,096 entries is cleared when a call starts."""
-    _check_lists(inst, h.n)
     if stats is not None:
         stats.setdefault("backtracks", 0)
     g = inst.g
@@ -325,10 +320,16 @@ def solve_oracle(
     for kept in (lifted, *memos.values()):
         if len(kept) > _MEMO_CAP:
             kept.clear()
-    masks = [
-        lifted[l] if l in lifted else lifted.setdefault(l, _mask_of(2 * a for a in l) * 3)
-        for l in inst.lists
-    ]
+    # Each distinct list is checked when it first enters lifted.
+    masks = []
+    for l in inst.lists:
+        m = lifted.get(l)
+        if m is None:
+            m = _mask_of(2 * a for a in l) * 3
+            if m >> 2 * h.n:
+                raise ValueError("list value outside the target")
+            lifted[l] = m
+        masks.append(m)
     if 0 in masks:
         return None
     nbrs = _target_nbrs(g, *rows, memos)

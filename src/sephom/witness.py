@@ -1,9 +1,12 @@
 """Hardness witnesses: chains, invertible pairs, and chains read off 4-cycle patterns.
 
-Both witnesses are searched for in one pair digraph of (u_i, d_i) states,
-with one step rule (``_steps``): one breadth-first search (``_shortest``)
-finds chains and the invertible pair's walks, and strong components pick
-the pair.
+Both witnesses are searched for in the pair digraph of (u_i, d_i) states
+(Hell and Rafiey). One breadth-first search over neighbour masks
+(``_shortest_walk``) finds chains, over edge steps and bicoloured steps, and
+the invertible pair's two walks, over edge steps alone. It keeps, for each
+x, the mask of the y already reached with x, and expands a state (x, y) with
+a few big-int operations per successor x'. Strong components over the edge
+steps (``_steps``) pick the pair.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ class Chain:
 @dataclass(frozen=True)
 class InvertiblePair:
     """Closed walks U = a..b..a and D = b..a..b of equal length where every
-    step has u_i u_{i+1}, d_i d_{i+1} edges and d_i u_{i+1} a non-edge."""
+    step, the first and last included, has u_i u_{i+1}, d_i d_{i+1} edges
+    and d_i u_{i+1} a non-edge. The graph is bipartite, and a != b lie in
+    one class of its bipartition: across the classes the non-edge rule
+    always holds, so it would constrain nothing."""
 
     a: int
     b: int
@@ -38,7 +44,7 @@ class InvertiblePair:
 
 
 def _uni_masks(g: SignedGraph) -> List[int]:
-    return [g.adj_mask[v] & ~g.bic_mask[v] for v in range(g.n)]
+    return [a & ~b for a, b in zip(g.adj_mask, g.bic_mask)]
 
 
 def verify_chain(g: SignedGraph, c: Chain) -> bool:
@@ -84,59 +90,84 @@ def _steps(mask: List[int], x: int, y: int) -> List[State]:
     return [(xp, yp) for xp in _bits(mask[x] & ~mask[y]) for yp in _bits(mask[y])]
 
 
-def _shortest(
-    starts: Iterable[State],
-    successors: Callable[[State], Iterable[State]],
-    goal: Callable[[State], bool],
+def _shortest_walk(
+    A: List[int],
+    B: List[int],
+    starts: Iterable[Tuple[int, int]],
+    goal: Callable[[int], int],
 ) -> Optional[List[State]]:
-    """States of a shortest walk from a start to a goal state, by
-    breadth-first search; ties go to the earliest start and successor.
-    The queue is FIFO, so testing the goal when a state is queued finds the
-    state a test on dequeue would find, with the same parent."""
-    parent: Dict[State, Optional[State]] = {}
+    """States of a shortest walk in the pair digraph from a start state to
+    a goal state, by breadth-first search. A step (x, y) -> (x', y') has xx'
+    and yy' in A and yx' not, or the same in B. starts yields (x, Y) for the
+    states (x, y), y in mask Y; goal(x) is the mask of the y with (x, y) a
+    goal, computed on first need, and tested as states are queued. seen[x]
+    masks the y reached with x. Expanding (x, y) walks x' in ascending order
+    over (A[x] & ~A[y]) | (B[x] & ~B[y]) and queues the new y' of A[y] and/or
+    B[y], ascending: a few big-int operations per x'. Ties and parents are
+    those of a FIFO search over single states, earliest start and successor
+    first."""
+    seen = [0] * len(A)
+    goals: List[Optional[int]] = [None] * len(A)
     queue: deque = deque()
-    found = ((s, None) for s in starts)
+    # head is (x, y, head it was queued from), None for the starts.
+    found, head = starts, None
     while True:
-        for s, p in found:
-            if s in parent:
+        for x, ys in found:
+            new = ys & ~seen[x]
+            if not new:
                 continue
-            parent[s] = p
-            if goal(s):
-                path = [s]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
+            seen[x] |= new
+            hit = goals[x]
+            if hit is None:
+                hit = goals[x] = goal(x)
+            hit &= new
+            if hit:
+                path = [(x, (hit & -hit).bit_length() - 1)]
+                while head is not None:
+                    path.append((head[0], head[1]))
+                    head = head[2]
                 return path[::-1]
-            queue.append(s)
+            for y in _bits(new):
+                queue.append((x, y, head))
         if not queue:
             return None
         head = queue.popleft()
-        found = ((s, head) for s in successors(head))
+        x, y, _ = head
+        ay, by = A[y], B[y]
+        viaA, viaB = A[x] & ~ay, B[x] & ~by
+        found = [
+            (xp, (ay if viaA >> xp & 1 else 0) | (by if viaB >> xp & 1 else 0))
+            for xp in _bits(viaA | viaB)
+        ]
 
 
 def find_chain(g: SignedGraph) -> Optional[Chain]:
     """Shortest chain via breadth-first search on (u_i, d_i) states: an
-    interior step is an edge step or a bicoloured step of the pair digraph."""
+    interior step is an edge step or a bicoloured step of the pair digraph.
+    The starts are (x, y) with ux unicoloured and uy bicoloured, for u in
+    ascending order, and the goals (x, y) with xv bicoloured and yv
+    unicoloured for some v."""
     uni = _uni_masks(g)
     bic = g.bic_mask
-    adj = g.adj_mask
-    origin: Dict[State, int] = {}
-    for u in range(g.n):
-        for x in _bits(uni[u]):
-            for y in _bits(bic[u]):
-                origin.setdefault((x, y), u)
-    path = _shortest(
-        origin,
-        lambda s: sorted(set(_steps(adj, *s)) | set(_steps(bic, *s))),
-        lambda s: bic[s[0]] & uni[s[1]] != 0,
+
+    def goal(x: int) -> int:
+        m = 0
+        for z in _bits(bic[x]):
+            m |= uni[z]
+        return m
+
+    path = _shortest_walk(
+        g.adj_mask,
+        bic,
+        ((x, bic[u]) for u in range(g.n) for x in _bits(uni[u])),
+        goal,
     )
     if path is None:
         return None
-    x, y = path[-1]
-    u, v = origin[path[0]], next(_bits(bic[x] & uni[y]))
-    return Chain(
-        U=(u,) + tuple(x for x, _ in path) + (v,),
-        D=(u,) + tuple(y for _, y in path) + (v,),
-    )
+    (x0, y0), (x, y) = path[0], path[-1]
+    u, v = next(_bits(uni[x0] & bic[y0])), next(_bits(bic[x] & uni[y]))
+    xs, ys = zip(*path)
+    return Chain(U=(u, *xs, v), D=(u, *ys, v))
 
 
 def verify_invertible_pair(g: SignedGraph, p: InvertiblePair) -> bool:
@@ -151,10 +182,10 @@ def verify_invertible_pair(g: SignedGraph, p: InvertiblePair) -> bool:
     for i in range(t):
         if not (g.adjacent(U[i], U[i + 1]) and g.adjacent(D[i], D[i + 1])):
             return False
-    for i in range(1, t - 1):
         if g.adjacent(D[i], U[i + 1]):
             return False
-    return True
+    part = bipartition(g)
+    return p.a != p.b and part is not None and part.side(p.a) == part.side(p.b)
 
 
 def find_invertible_pair(g: SignedGraph) -> Optional[InvertiblePair]:
@@ -214,8 +245,10 @@ def find_invertible_pair(g: SignedGraph) -> Optional[InvertiblePair]:
     if best is None:
         return None
     a, b = best
-    there = _shortest([(a, b)], steps.__getitem__, lambda s: s == (b, a))
-    back = _shortest([(b, a)], steps.__getitem__, lambda s: s == (a, b))
+    # Over one mask list, _shortest_walk steps by the rule of _steps.
+    adj = g.adj_mask
+    there = _shortest_walk(adj, adj, [(a, 1 << b)], lambda x: 1 << a if x == b else 0)
+    back = _shortest_walk(adj, adj, [(b, 1 << a)], lambda x: 1 << b if x == a else 0)
     closed = there + back[1:]
     return InvertiblePair(
         a=a,

@@ -43,9 +43,9 @@ from sephom.separable import (
     PathForm,
     find_segments,
 )
-from sephom.sgcore import _bits
+from sephom.sgcore import _bits, bipartition
 from sephom.solver import Instance
-from sephom.witness import _uni_masks
+from sephom.witness import Chain, InvertiblePair, _uni_masks
 
 
 def all_switchings(n):
@@ -204,6 +204,137 @@ def brute_invertible_pair(g):
             if reaches((a, b), (b, a)) and reaches((b, a), (a, b)):
                 return (a, b)
     return None
+
+
+# ref_find_chain and ref_find_invertible_pair are the finders as they were
+# before the search moved to neighbour masks: one tuple state per step, and
+# a sorted successor list per expanded state. The library must return the
+# same values, parents and ties included.
+
+
+def _ref_steps(mask, x, y):
+    """Pair-digraph steps (x, y) -> (x', y') with xx' and yy' in ``mask``
+    and yx' not, in ascending order."""
+    return [(xp, yp) for xp in _bits(mask[x] & ~mask[y]) for yp in _bits(mask[y])]
+
+
+def _ref_shortest(starts, successors, goal):
+    """States of a shortest walk from a start to a goal state, by
+    breadth-first search; ties go to the earliest start and successor.
+    The queue is FIFO, so testing the goal when a state is queued finds the
+    state a test on dequeue would find, with the same parent."""
+    parent = {}
+    queue = deque()
+    found = ((s, None) for s in starts)
+    while True:
+        for s, p in found:
+            if s in parent:
+                continue
+            parent[s] = p
+            if goal(s):
+                path = [s]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(s)
+        if not queue:
+            return None
+        head = queue.popleft()
+        found = ((s, head) for s in successors(head))
+
+
+def ref_find_chain(g):
+    """Shortest chain via breadth-first search on (u_i, d_i) states: an
+    interior step is an edge step or a bicoloured step of the pair digraph."""
+    uni = _uni_masks(g)
+    bic = g.bic_mask
+    adj = g.adj_mask
+    origin = {}
+    for u in range(g.n):
+        for x in _bits(uni[u]):
+            for y in _bits(bic[u]):
+                origin.setdefault((x, y), u)
+    path = _ref_shortest(
+        origin,
+        lambda s: sorted(set(_ref_steps(adj, *s)) | set(_ref_steps(bic, *s))),
+        lambda s: bic[s[0]] & uni[s[1]] != 0,
+    )
+    if path is None:
+        return None
+    x, y = path[-1]
+    u, v = origin[path[0]], next(_bits(bic[x] & uni[y]))
+    return Chain(
+        U=(u,) + tuple(x for x, _ in path) + (v,),
+        D=(u,) + tuple(y for _, y in path) + (v,),
+    )
+
+
+def ref_find_invertible_pair(g):
+    """Smallest pair (a, b) with (a,b) and (b,a) in one strong component of
+    the pair digraph; every step constrained, not just the interior ones.
+    The closed walk is two breadth-first searches, (a,b) to (b,a) and back.
+
+    States pair distinct vertices from one side of the bipartition, where
+    the non-edge arc constraint can never degenerate; steps stay on one
+    side, so the restriction is closed. Non-bipartite graphs get none.
+    """
+    n = g.n
+    part = bipartition(g)
+    if part is None:
+        return None
+    steps = {
+        (x, y): _ref_steps(g.adj_mask, x, y)
+        for x in range(n)
+        for y in range(n)
+        if x != y and part.side(x) == part.side(y)
+    }
+    # Strong components by Kosaraju, without a reversed digraph: steps
+    # (x,y) -> (x',y') and (y',x') -> (y,x) both say that xx' and yy' are
+    # edges and yx' is not, so the predecessors of (x,y) are the swapped
+    # successors of (y,x).
+    seen = set()
+    order = []
+    for root in steps:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(steps[root]))]
+        while stack:
+            s, succ = stack[-1]
+            for t in succ:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, iter(steps[t])))
+                    break
+            else:
+                stack.pop()
+                order.append(s)
+    comp = {}
+    for root in reversed(order):
+        if root in comp:
+            continue
+        comp[root] = root
+        todo = [root]
+        while todo:
+            x, y = todo.pop()
+            for yp, xp in steps[(y, x)]:
+                if (xp, yp) not in comp:
+                    comp[(xp, yp)] = root
+                    todo.append((xp, yp))
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) in comp)
+    best = next(((a, b) for a, b in pairs if comp[(a, b)] == comp[(b, a)]), None)
+    if best is None:
+        return None
+    a, b = best
+    there = _ref_shortest([(a, b)], steps.__getitem__, lambda s: s == (b, a))
+    back = _ref_shortest([(b, a)], steps.__getitem__, lambda s: s == (a, b))
+    closed = there + back[1:]
+    return InvertiblePair(
+        a=a,
+        b=b,
+        U=tuple(x for x, _ in closed),
+        D=tuple(y for _, y in closed),
+    )
 
 
 def brute_special_min_ordering(g):
@@ -853,6 +984,17 @@ def random_path_target(rng, n, p_chord=0.3):
     for i in range(n):
         for j in range(i + 3, n, 2):
             if rng.random() < p_chord:
+                edges.append((i, j, BICOLOURED))
+    return SignedGraph(n, edges)
+
+
+def random_cycle_target(rng, n, p_chord=0.3):
+    """Blue cycle on an even n with a random set of chords at odd cyclic
+    distance of at least 3 bicoloured."""
+    edges = [(i, (i + 1) % n, BLUE) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 3, n, 2):
+            if min(j - i, n - (j - i)) >= 3 and rng.random() < p_chord:
                 edges.append((i, j, BICOLOURED))
     return SignedGraph(n, edges)
 

@@ -821,6 +821,21 @@ def test_side_routes_frozen_outputs():
     )
 
 
+def test_a_list_value_outside_the_target_raises_after_an_empty_list():
+    inst = Instance(blue_path(2), [[], [7]])
+    with pytest.raises(ValueError, match="list value outside the target"):
+        arc_consistency(inst, build_h1())
+    for target, alg in (
+        (build_h1(), "oracle"),
+        (build_h1(), "h1"),
+        (build_h1(), "auto"),
+        (build_hl(3), "ordered"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="list value outside the target"):
+                solve(target, inst, alg)
+
+
 def test_every_route_rejects_a_list_value_outside_the_target():
     inst = Instance(blue_path(2), [[7], [1]])
     for target, alg in (

@@ -15,7 +15,10 @@ from helpers import (
     find_4cycle_pair,
     find_alternating_4cycle,
     random_bipartite_signed_graph,
+    random_cycle_target,
     random_path_target,
+    ref_find_chain,
+    ref_find_invertible_pair,
     signed_graph_st,
 )
 from sephom import (
@@ -25,6 +28,7 @@ from sephom import (
     enum_targets,
     is_semi_balanced,
 )
+from sephom.classify import classify
 from sephom.separable import cycle_form, path_form
 from sephom.witness import (
     Chain,
@@ -229,6 +233,91 @@ def test_find_invertible_pair_is_the_least_pair_by_definition():
         for g in enum_targets(kind, 8):
             ip = find_invertible_pair(g)
             assert (ip and (ip.a, ip.b)) == brute_invertible_pair(g)
+
+
+def test_verify_invertible_pair_rejects_pairs_across_the_classes():
+    # Across the classes every d_i u_{i+1} joins one class to itself, so
+    # the non-edge rule holds on any bipartite graph and checks nothing.
+    bogus = InvertiblePair(a=0, b=1, U=(0, 1, 0), D=(1, 0, 1))
+    assert not verify_invertible_pair(blue_path(3), bogus)
+    # A graph with an odd cycle has no classes at all.
+    odd = SignedGraph(5, [(0, v, BLUE) for v in (1, 2, 3, 4)] + [(2, 3, BLUE)])
+    assert not verify_invertible_pair(odd, bogus)
+
+
+def _closed_walks(g, a, t):
+    walks = [(a,)]
+    for _ in range(t):
+        walks = [w + (v,) for w in walks for v in g.neighbours(w[-1])]
+    return [w for w in walks if w[-1] == a]
+
+
+def test_verify_invertible_pair_rejects_every_walk_pair_on_blue_paths():
+    # Blue paths have no invertible pair, so every closed walk pair of 2 to
+    # 6 steps is a bogus certificate. 2,834 of them swap in the middle and
+    # keep the non-edge rule on the interior steps.
+    swapped = 0
+    for n in range(3, 7):
+        g = blue_path(n)
+        assert find_invertible_pair(g) is None and brute_invertible_pair(g) is None
+        for t in range(2, 7):
+            walks = {a: _closed_walks(g, a, t) for a in range(n)}
+            for a in range(n):
+                for b in range(n):
+                    for U in walks[a]:
+                        for D in walks[b]:
+                            swapped += any(U[k] == b and D[k] == a for k in range(1, t)) and all(
+                                not g.adjacent(D[i], U[i + 1]) for i in range(1, t - 1))
+                            assert not verify_invertible_pair(g, InvertiblePair(a, b, U, D))
+    assert swapped == 2834
+
+
+@st.composite
+def _graph_st(draw):
+    """A signed graph on up to 12 vertices, half the time with every edge
+    across a random 2-colouring."""
+    g = draw(signed_graph_st(max_n=12))
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        g = SignedGraph(g.n, [(u, v, c) for u, v, c in g.edges if side[u] != side[v]])
+    return g
+
+
+@given(_graph_st())
+@settings(max_examples=300, deadline=None)
+def test_finders_match_the_tuple_state_search(g):
+    assert find_chain(g) == ref_find_chain(g)
+    assert find_invertible_pair(g) == ref_find_invertible_pair(g)
+
+
+def test_finders_match_the_tuple_state_search_on_every_small_target():
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 10):
+            assert find_chain(g) == ref_find_chain(g)
+            pair = find_invertible_pair(g)
+            assert pair == ref_find_invertible_pair(g)
+            assert pair is None or verify_invertible_pair(g, pair)
+
+
+def test_finders_match_the_tuple_state_search_on_64_vertex_targets():
+    # Sparse chords leave few short chains, so the search explores many
+    # states before it reaches a goal.
+    rng = random.Random(64)
+    lengths = []
+    for k in range(80):
+        density = (0.002, 0.005, 0.01, 0.02)[k % 4]
+        g = (random_path_target if k % 2 else random_cycle_target)(rng, 64, density)
+        if classify(g).reason not in ("NotSegmented", "NoTemplateMatch"):
+            continue
+        chain = find_chain(g)
+        assert chain == ref_find_chain(g)
+        if chain is None:
+            pair = find_invertible_pair(g)
+            assert pair == ref_find_invertible_pair(g)
+            assert pair is None or verify_invertible_pair(g, pair)
+        else:
+            lengths.append(len(chain.U) - 1)
+    assert len(lengths) >= 60 and max(lengths) >= 5
 
 
 def test_witness_dict_forms():
