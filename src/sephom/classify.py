@@ -37,22 +37,10 @@ def _witness(g: SignedGraph):
 
 
 def classify_path(g: SignedGraph) -> Verdict:
-    """Dichotomy verdict for a path-separable target."""
-    p = separable.path_form(g)
-    if p is None:
+    """Dichotomy verdict for a path-separable target: classify's."""
+    if separable.path_form(g) is None:
         raise ValueError("unicoloured edges do not form a spanning path")
-    return _classify_path(g, p)
-
-
-def _classify_path(g: SignedGraph, p: separable.PathForm) -> Verdict:
-    form = separable.segmented_form(p)
-    if form.kind != separable.NOT_SEGMENTED:
-        return Verdict(
-            POLYNOMIAL,
-            "Segmented(%s)" % form.kind,
-            ordering=ordering_mod.ordering_for_segmented(p, form),
-        )
-    return Verdict(NP_COMPLETE, "NotSegmented", witness=_witness(g))
+    return classify(g)
 
 
 def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
@@ -64,11 +52,10 @@ def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
 
 
 def classify_cycle(g: SignedGraph) -> Verdict:
-    """Dichotomy verdict for a cycle-separable target."""
-    c = separable.cycle_form(g)
-    if c is None:
+    """Dichotomy verdict for a cycle-separable target: classify's."""
+    if separable.cycle_form(g) is None:
         raise ValueError("unicoloured edges do not form a spanning cycle")
-    return _classify_cycle(g, c)
+    return classify(g)
 
 
 def _chord_degrees(c: separable.CycleForm) -> List[int]:
@@ -143,7 +130,16 @@ def classify(g: SignedGraph) -> Verdict:
     path = isinstance(f, separable.PathForm)
     if not (path or g.n % 2 == 0) or any((b - a) % 2 == 0 for a, b in f.bic):
         return Verdict(NP_COMPLETE, "NonBipartite")
-    return _classify_path(g, f) if path else _classify_cycle(g, f)
+    if not path:
+        return _classify_cycle(g, f)
+    form = separable.segmented_form(f)
+    if form.kind != separable.NOT_SEGMENTED:
+        return Verdict(
+            POLYNOMIAL,
+            "Segmented(%s)" % form.kind,
+            ordering=ordering_mod.ordering_for_segmented(f, form),
+        )
+    return Verdict(NP_COMPLETE, "NotSegmented", witness=_witness(g))
 
 
 def verdict_dict(v: Verdict) -> dict:

@@ -407,17 +407,16 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
 
 
 _H1 = targets.build_h1()
-_H1_ORDERING = ordering_for_cycle_target(targets.H1)
 # Places 0-5 of H1: white's ground, long and short value, then black's: 0, 2, 5, 3, 1, 4.
-_H1_TABLE = _rank_rows(_H1, _H1_ORDERING)
+_H1_ORDERING = ordering_for_cycle_target(targets.H1)
 
 
 def solve_h1(inst: Instance) -> Optional[Solution]:
     """Region decomposition against the canonical 6-vertex unbalanced cycle
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one parity walk per component tying region choices to boundary
-    switchings."""
-    return _by_sides(inst, _H1_ORDERING, _H1_TABLE, _solve_h1_component)
+    switchings. It is solve's H1 route with the target's own ordering."""
+    return _solve_via_h1(_H1, inst, _H1_ORDERING)
 
 
 def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
@@ -564,7 +563,7 @@ def _solve_via_h1(target: SignedGraph, inst: Instance, o: Ordering) -> Optional[
     edges against H1's colours at the same places, gives the switching s the
     equivalence search finds; every vertex whose image is in s flips."""
     order, place, _, _ = table = _rank_rows(target, o)
-    h1 = _H1_TABLE[0]
+    h1 = _H1_ORDERING.white_order + _H1_ORDERING.black_order
     s = _switching(target, (
         (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
         for u, v, c in target.edges if c is not BICOLOURED

@@ -5,15 +5,15 @@ Both witnesses are searched for in the pair digraph of (u_i, d_i) states
 (``_shortest_walk``) finds chains, over edge steps and bicoloured steps, and
 the invertible pair's two walks, over edge steps alone. It keeps, for each
 x, the mask of the y already reached with x, and expands a state (x, y) with
-a few big-int operations per successor x'. Strong components over the edge
-steps (``_steps``) pick the pair.
+a few big-int operations per successor x'. The least pair (a, b) whose
+walk to (b, a) and back both exist is the invertible pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .sgcore import BICOLOURED, SignedGraph, _bits, bipartition
 
@@ -82,12 +82,6 @@ def verify_chain(g: SignedGraph, c: Chain) -> bool:
 
 
 State = Tuple[int, int]
-
-
-def _steps(mask: List[int], x: int, y: int) -> List[State]:
-    """Pair-digraph steps (x, y) -> (x', y') with xx' and yy' in ``mask``
-    and yx' not, in ascending order."""
-    return [(xp, yp) for xp in _bits(mask[x] & ~mask[y]) for yp in _bits(mask[y])]
 
 
 def _shortest_walk(
@@ -191,71 +185,34 @@ def verify_invertible_pair(g: SignedGraph, p: InvertiblePair) -> bool:
 def find_invertible_pair(g: SignedGraph) -> Optional[InvertiblePair]:
     """Smallest pair (a, b) with (a,b) and (b,a) in one strong component of
     the pair digraph; every step constrained, not just the interior ones.
-    The closed walk is two breadth-first searches, (a,b) to (b,a) and back.
 
-    States pair distinct vertices from one side of the bipartition, where
-    the non-edge arc constraint can never degenerate; steps stay on one
-    side, so the restriction is closed. Non-bipartite graphs get none.
+    Candidates are the pairs a < b in one class of the bipartition, in
+    lexicographic order, where the non-edge rule never degenerates; steps
+    stay in one class, so the restriction is closed. Non-bipartite graphs
+    get none. Each candidate takes two breadth-first searches over edge
+    steps, (a,b) to (b,a) and, if that walk exists, back: both exist
+    exactly when the two states share a strong component, and together
+    they are the closed walk. A pair is skipped when a or b has no
+    neighbour outside the other's, for then no step leaves (a,b) or (b,a).
+    At most n²/2 candidates, each search expanding at most n² states.
     """
-    n = g.n
     part = bipartition(g)
     if part is None:
         return None
-    steps = {
-        (x, y): _steps(g.adj_mask, x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y and part.side(x) == part.side(y)
-    }
-    # Strong components by Kosaraju, without a reversed digraph: steps
-    # (x,y) -> (x',y') and (y',x') -> (y,x) both say that xx' and yy' are
-    # edges and yx' is not, so the predecessors of (x,y) are the swapped
-    # successors of (y,x).
-    seen: Set[State] = set()
-    order: List[State] = []
-    for root in steps:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(steps[root]))]
-        while stack:
-            s, succ = stack[-1]
-            for t in succ:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter(steps[t])))
-                    break
-            else:
-                stack.pop()
-                order.append(s)
-    comp: Dict[State, State] = {}
-    for root in reversed(order):
-        if root in comp:
-            continue
-        comp[root] = root
-        todo = [root]
-        while todo:
-            x, y = todo.pop()
-            for yp, xp in steps[(y, x)]:
-                if (xp, yp) not in comp:
-                    comp[(xp, yp)] = root
-                    todo.append((xp, yp))
-    pairs = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) in comp)
-    best = next(((a, b) for a, b in pairs if comp[(a, b)] == comp[(b, a)]), None)
-    if best is None:
-        return None
-    a, b = best
-    # Over one mask list, _shortest_walk steps by the rule of _steps.
     adj = g.adj_mask
-    there = _shortest_walk(adj, adj, [(a, 1 << b)], lambda x: 1 << a if x == b else 0)
-    back = _shortest_walk(adj, adj, [(b, 1 << a)], lambda x: 1 << b if x == a else 0)
-    closed = there + back[1:]
-    return InvertiblePair(
-        a=a,
-        b=b,
-        U=tuple(x for x, _ in closed),
-        D=tuple(y for _, y in closed),
-    )
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if part.side(a) != part.side(b) or not (adj[a] & ~adj[b] and adj[b] & ~adj[a]):
+                continue
+            # Over one mask list, _shortest_walk steps by the non-edge rule alone.
+            there = _shortest_walk(adj, adj, [(a, 1 << b)], lambda x: 1 << a if x == b else 0)
+            back = there and _shortest_walk(
+                adj, adj, [(b, 1 << a)], lambda x: 1 << b if x == a else 0
+            )
+            if back:
+                U, D = zip(*(there + back[1:]))
+                return InvertiblePair(a=a, b=b, U=U, D=D)
+    return None
 
 
 def chain_of_alternating_4cycle(t: Tuple[int, int, int, int]) -> Chain:

@@ -34,7 +34,7 @@ from sephom import (
     switching_equivalent,
     verdict_dict,
 )
-from sephom.classify import NP_COMPLETE, POLYNOMIAL, classify_cycle, classify_path
+from sephom.classify import NP_COMPLETE, POLYNOMIAL, Verdict, classify_cycle, classify_path
 from sephom.ordering import ordering_for_cycle_target, verify_min_ordering, verify_special
 from sephom.separable import NOT_SEGMENTED, cycle_form, path_form, segmented_form
 from sephom.targets import H0, H1, HL, template_cycle_form
@@ -127,6 +127,35 @@ def test_separable_targets_classify_without_the_bipartition_walk(monkeypatch):
         for g in enum_targets(kind, 8):
             classify(g)
     assert [classify(g).reason for g in odd_cycles] == ["NonBipartite"] * 2
+
+
+def test_form_entry_points_agree_with_classify():
+    # classify_path and classify_cycle once skipped the bipartiteness test
+    # and gave these odd-cycle targets NotSegmented and NoTemplateMatch.
+    c6 = SignedGraph(6, [(i, (i + 1) % 6, BLUE) for i in range(6)] + [(0, 2, BICOLOURED)])
+    c5 = SignedGraph(5, [(i, i + 1, BLUE) for i in range(4)] + [(0, 4, RED)])
+    for g, entry in ((blue_path(3, [(0, 2)]), classify_path), (c6, classify_cycle),
+                     (c5, classify_cycle)):
+        assert entry(g) == classify(g) == Verdict(NP_COMPLETE, "NonBipartite")
+    # Spanning paths and cycles with bicoloured chords at any distance.
+    rng = random.Random(2025)
+    odd = 0
+    for k in range(400):
+        cycle = k % 2
+        n = rng.randint(3 + cycle, 12)
+        spine = [(i, (i + 1) % n) for i in range(n - 1 + cycle)]
+        edges = [(u, v, rng.choice((BLUE, RED))) for u, v in spine]
+        edges += [
+            (i, j, BICOLOURED)
+            for i in range(n)
+            for j in range(i + 2, n)
+            if not (cycle and (i, j) == (0, n - 1)) and rng.random() < 0.2
+        ]
+        g, _ = random_relabel(rng, SignedGraph(n, edges))
+        v = (classify_cycle if cycle else classify_path)(g)
+        assert v == classify(g)
+        odd += v.reason == "NonBipartite"
+    assert odd > 100
 
 
 def test_non_separable_targets_are_rejected():

@@ -17,6 +17,8 @@ from helpers import (
     random_bipartite_signed_graph,
     random_cycle_target,
     random_path_target,
+    random_relabel,
+    random_switching,
     ref_find_chain,
     ref_find_invertible_pair,
     signed_graph_st,
@@ -25,6 +27,9 @@ from sephom import (
     BICOLOURED,
     BLUE,
     SignedGraph,
+    apply_switching,
+    build_hl,
+    build_reduction_target,
     enum_targets,
     is_semi_balanced,
 )
@@ -318,6 +323,23 @@ def test_finders_match_the_tuple_state_search_on_64_vertex_targets():
         else:
             lengths.append(len(chain.U) - 1)
     assert len(lengths) >= 60 and max(lengths) >= 5
+
+
+def test_finders_match_the_tuple_state_search_on_targets_without_a_pair():
+    # With no pair to stop at, the finder tries every candidate pair. The
+    # reduction targets are NP-complete with no witness at all, so classify
+    # does call the pair finder on them; Hl(ell) is polynomial.
+    rng = random.Random(25)
+    graphs = [build_hl(ell) for ell in (3, 9, 21)]
+    for ell in range(5, 32, 2):
+        g, _ = random_relabel(rng, build_reduction_target(ell))
+        g = apply_switching(g, random_switching(rng, g.n))
+        assert classify(g).reason == "NoTemplateMatch"
+        graphs.append(g)
+    for g in graphs:
+        assert find_chain(g) is None
+        assert find_invertible_pair(g) is None
+        assert ref_find_invertible_pair(g) is None
 
 
 def test_witness_dict_forms():
