@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .sgcore import BLUE, RED, SignedGraph, walk_sign
+from .sgcore import BLUE, RED, EdgeColour, SignedGraph, _probe_count, walk_sign
 from .solver import Gf2System, Instance, gf2_solve
 from .targets import _check_odd
 
@@ -80,6 +80,7 @@ def build_gadget(ell: int) -> Gadget:
     walk_sign; ValueError when either step fails. Built once per ell: the
     gadget is immutable, and a failed build is not cached."""
     _check_odd(ell, 5)
+    _probe_count(ell + 3)
     b_at, d_at = 3, ell - 3
     b, d = ell + 1, ell + 2
     pairs = [(i - 1, i) for i in range(1, ell + 1)] + [(b_at, b), (d_at, d)]
@@ -107,53 +108,53 @@ def build_gadget(ell: int) -> Gadget:
         if walk_sign(graph, walk) != "+-"[bit]:
             raise ValueError("gadget walk %s has the wrong sign" % walk)
 
-    lists: List[FrozenSet[int]] = []
-    for i in range(ell + 1):
-        if i in (0, ell):
-            lists.append(frozenset((i,)))
-        else:
-            lists.append(frozenset((i, b if i % 2 else d)))
-    lists.append(frozenset((0,)))
-    lists.append(frozenset((ell,)))
-    return Gadget(graph=graph, lists=tuple(lists), a=0, b=b, c=ell, d=d)
+    # a and b share one frozenset {0}, and c and d one frozenset {ell}.
+    first, last = frozenset((0,)), frozenset((ell,))
+    inner = (frozenset((i, b if i % 2 else d)) for i in range(1, ell))
+    lists = (first, *inner, last, first, last)
+    return Gadget(graph=graph, lists=lists, a=0, b=b, c=ell, d=d)
 
 
 def build_reduction(csp: QuadCsp, ell: int) -> Instance:
     """Instance against the unbalanced cycle target with n = ell + 3: one
-    gadget per quadruple, occurrence links per shared variable."""
+    gadget per quadruple, occurrence links per shared variable. Every edge
+    key and list value is made valid here, so the instance goes through the
+    trusted constructors unchecked; equal lists are one frozenset."""
     _check_odd(ell, 5)
     gadget = build_gadget(ell)
-    edges: List[Tuple[int, int, object]] = []
+    colour_of: Dict[Tuple[int, int], EdgeColour] = {}
     lists: List[FrozenSet[int]] = []
     left: Dict[str, List[int]] = {}
     right: Dict[str, List[int]] = {}
     for qa, qb, qc, qd in csp.quads:
         base = len(lists)
         lists.extend(gadget.lists)
-        edges.extend((base + u, base + v, c) for u, v, c in gadget.graph.edges)
+        for u, v, c in gadget.graph.edges:
+            colour_of[base + u, base + v] = c
         left.setdefault(qa, []).append(base + gadget.a)
         left.setdefault(qb, []).append(base + gadget.b)
         right.setdefault(qc, []).append(base + gadget.c)
         right.setdefault(qd, []).append(base + gadget.d)
-
-    def add_vertex(values: Iterable[int]) -> int:
-        lists.append(frozenset(values))
-        return len(lists) - 1
-
+    point = [frozenset((i,)) for i in range(ell)]  # one shared list {i} per i
+    # A linking vertex is new, so it is the larger end of each edge it gets,
+    # except the last edge of a linking path, whose key is flipped.
     for r in csp.vars:
         occ_l = left.get(r, [])
         occ_r = right.get(r, [])
-        if len(occ_l) >= 2:
-            x = add_vertex((1,))
-            edges.extend((x, o, BLUE) for o in occ_l)
-        if len(occ_r) >= 2:
-            y = add_vertex((ell - 1,))
-            edges.extend((y, o, BLUE) for o in occ_r)
+        for occ, i in ((occ_l, 1), (occ_r, ell - 1)):
+            if len(occ) >= 2:
+                x = len(lists)
+                lists.append(point[i])
+                for o in occ:
+                    colour_of[o, x] = BLUE
         if occ_l and occ_r:
-            path = [add_vertex((i,)) for i in range(1, ell)]
-            run = [occ_l[0]] + path + [occ_r[0]]
-            edges.extend((u, v, BLUE) for u, v in zip(run, run[1:]))
-    return Instance(SignedGraph(len(lists), edges), lists)
+            u = occ_l[0]
+            for v in range(len(lists), len(lists) + ell - 1):
+                colour_of[u, v] = BLUE
+                u = v
+            colour_of[occ_r[0], u] = BLUE
+            lists.extend(point[1:])
+    return Instance._checked(SignedGraph._checked(len(lists), colour_of), tuple(lists))
 
 
 __all__ = [

@@ -101,13 +101,7 @@ class SignedGraph:
         return g
 
     def _fill(self, n: int, colour_of: Dict[Tuple[int, int], EdgeColour]) -> None:
-        # The one list sized by n made up front: a count too large to hold
-        # fails here at once with MemoryError, not later in a per-vertex list
-        # that some walk grows one vertex at a time.
-        try:
-            [None] * n
-        except OverflowError:
-            raise MemoryError(f"vertex count {n} too large") from None
+        _probe_count(n)
         self.n = n
         self._colour = colour_of
         self.edges = tuple([(u, v, c) for (u, v), c in sorted(colour_of.items())])
@@ -139,6 +133,16 @@ class SignedGraph:
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={list(self.edges)!r})"
+
+
+def _probe_count(n: int) -> None:
+    """Make, and drop, one list of n slots up front: a vertex count too large
+    to hold fails here at once with MemoryError, not later in a per-vertex
+    list that some walk grows one vertex at a time."""
+    try:
+        [None] * n
+    except OverflowError:
+        raise MemoryError(f"vertex count {n} too large") from None
 
 
 def _masks(

@@ -29,8 +29,9 @@ def template_pairs(ell: int):
 
 
 def _check_odd(ell: Optional[int], least: int) -> None:
-    """The one rule for a template parameter: an odd count >= least."""
-    if ell is None or ell < least or ell % 2 == 0:
+    """The one rule for a template parameter: an odd int >= least. Any other
+    type, bool and float included, is rejected before it reaches range()."""
+    if type(ell) is not int or ell < least or ell % 2 == 0:
         raise ValueError("template parameter must be an odd count >= %d" % least)
 
 

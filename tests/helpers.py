@@ -25,7 +25,7 @@ from sephom import (
     relabel,
 )
 from sephom.files import COLOUR_SYMBOLS, ParseError
-from sephom.hardness import QuadCsp
+from sephom.hardness import QuadCsp, build_gadget
 from sephom.ordering import (
     Ordering,
     ordering_for_cycle_target,
@@ -1050,6 +1050,43 @@ def reduction_occurrences(csp, ell):
         occ.setdefault(qc, []).append(base + ell)
         occ.setdefault(qd, []).append(base + ell + 2)
     return occ
+
+
+def ref_build_reduction(csp, ell):
+    """build_reduction as an edge list and a list of fresh sets, every edge
+    and list checked again by the validating constructors."""
+    gadget = build_gadget(ell)
+    edges = []
+    lists = []
+    left = {}
+    right = {}
+    for qa, qb, qc, qd in csp.quads:
+        base = len(lists)
+        lists.extend(gadget.lists)
+        edges.extend((base + u, base + v, c) for u, v, c in gadget.graph.edges)
+        left.setdefault(qa, []).append(base + gadget.a)
+        left.setdefault(qb, []).append(base + gadget.b)
+        right.setdefault(qc, []).append(base + gadget.c)
+        right.setdefault(qd, []).append(base + gadget.d)
+
+    def add_vertex(values):
+        lists.append(frozenset(values))
+        return len(lists) - 1
+
+    for r in csp.vars:
+        occ_l = left.get(r, [])
+        occ_r = right.get(r, [])
+        if len(occ_l) >= 2:
+            x = add_vertex((1,))
+            edges.extend((x, o, BLUE) for o in occ_l)
+        if len(occ_r) >= 2:
+            y = add_vertex((ell - 1,))
+            edges.extend((y, o, BLUE) for o in occ_r)
+        if occ_l and occ_r:
+            path = [add_vertex((i,)) for i in range(1, ell)]
+            run = [occ_l[0]] + path + [occ_r[0]]
+            edges.extend((u, v, BLUE) for u, v in zip(run, run[1:]))
+    return Instance(SignedGraph(len(lists), edges), lists)
 
 
 def gadget_images_rigid(mapping, nquads, ell):

@@ -1,7 +1,10 @@
 """The quadruple relation, its gadget, and the compiled reduction."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,9 +13,10 @@ from helpers import (
     gadget_images_rigid,
     occurrences_switched_coherently,
     reduction_occurrences,
+    ref_build_reduction,
     solution_errors,
 )
-from sephom import BLUE, RED, SignedGraph, walk_sign
+from sephom import BLUE, RED, SignedGraph, build_hl, walk_sign
 from sephom.hardness import (
     QuadCsp,
     build_gadget,
@@ -92,10 +96,39 @@ def test_every_quadcsp_is_satisfiable():
 
 
 def test_build_gadget_validates_the_parameter():
-    for bad in (3, 4, 6, -1):
-        for build in (build_gadget, build_reduction_target):
+    csp = QuadCsp(("p",), (("p", "p", "p", "p"),))
+    build_gadget(5)  # a cached int 5 must not answer for 5.0
+    not_ints = (5.0, "5", None, True)
+    for bad in (3, 4, 6, -1) + not_ints:
+        for build in (build_gadget, build_reduction_target, lambda ell: build_reduction(csp, ell)):
             with pytest.raises(ValueError, match="odd count >= 5"):
                 build(bad)
+    for bad in not_ints:
+        with pytest.raises(ValueError, match="odd count >= 3"):
+            build_hl(bad)
+
+
+def test_a_gadget_too_large_to_hold_fails_at_once():
+    # In a child under a 512 MB address-space limit: a build that grows its
+    # lists instead fails there fast, with a bare MemoryError.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from sephom.hardness import build_gadget\n"
+        "try:\n"
+        "    build_gadget(2 ** 64 + 1)\n"
+        "except MemoryError as err:\n"
+        "    print(err)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "vertex count %d too large\n" % (2 ** 64 + 4))
 
 
 def test_gadget_signs_are_frozen():
@@ -180,6 +213,35 @@ def test_reduction_layout():
     inst = build_reduction(two_right, 5)
     assert inst.g.n == 9
     assert inst.lists[8] == frozenset({4})
+
+
+def workload_shaped_csps(rng, count):
+    """Random systems of the reduction workload's two shapes: eight in nine
+    with 2..4 variables and 1..3 quadruples, the rest with 5..8 variables
+    and 4..12 quadruples. Only the variables some quadruple uses are declared."""
+    for k in range(count):
+        small = k % 9
+        names = ["x%d" % i for i in range(rng.randint(2, 4) if small else rng.randint(5, 8))]
+        quads = [tuple(rng.choice(names) for _ in range(4))
+                 for _ in range(rng.randint(1, 3) if small else rng.randint(4, 12))]
+        yield QuadCsp([x for x in names if any(x in q for q in quads)], quads)
+
+
+def test_build_reduction_matches_the_checked_reference():
+    edge_cases = [
+        QuadCsp((), ()),
+        QuadCsp(("p", "q", "unused"), (("p", "q", "p", "q"),)),
+        QuadCsp(("a", "b"), (("a", "a", "b", "b"),)),
+    ]
+    csps = edge_cases + list(workload_shaped_csps(random.Random(26), 180))
+    for csp in csps:
+        for ell in (5, 7, 9):
+            inst = build_reduction(csp, ell)
+            ref = ref_build_reduction(csp, ell)
+            assert inst.g == ref.g
+            assert inst.lists == ref.lists
+            shared = {}
+            assert all(shared.setdefault(values, values) is values for values in inst.lists)
 
 
 def test_reduction_instances_solve_like_the_csp():
