@@ -48,36 +48,73 @@ def _int_token(line: Tuple[int, str, List[str]], k: int, what: str) -> int:
         raise _error(line, k, f"expected {what}, got {tok!r}") from None
 
 
-def _parse_graph_lines(lines) -> Tuple[SignedGraph, list]:
-    if not lines:
-        raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
-    head = lines[0]
-    if head[2][0] != "sg":
-        raise _error(head, 0, "expected 'sg <n>' header")
-    if len(head[2]) != 2:
-        raise _error(head, 0, "header takes exactly one count")
-    n = _int_token(head, 1, "a vertex count")
-    if n < 0:
-        raise _error(head, 1, "vertex count must be nonnegative")
+def _read(text: str, target_n: Optional[int]):
+    """One pass over the lines of a graph text, or with target_n an instance
+    text: the graph, the lists (None for a graph), and the first line that is
+    neither an edge line nor a good list line, or None. Lines are checked as
+    they come, the header first and then each edge line; the line returned
+    is reported after the graph is built, so a bad edge line anywhere, and
+    then a vertex count too large to hold (MemoryError), come before it. No
+    list line is read after that line."""
+    n = None
     colour_of: Dict[Tuple[int, int], EdgeColour] = {}
-    rest = []
-    for line in lines[1:]:
-        tokens = line[2]
-        if tokens[0] != "e":
-            rest.append(line)
+    lists: Optional[List[Optional[frozenset]]] = None
+    checked: Dict[Tuple[str, ...], frozenset] = {}
+    bad = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        try:
-            _, a, b, sym = tokens
-            u = int(a)
-            v = int(b)
-            c = COLOUR_SYMBOLS[sym]
-        except (ValueError, KeyError):
-            _reject_edge(line, n)
-        key = (u, v) if u < v else (v, u)
-        if not 0 <= key[0] < key[1] < n or key in colour_of:
-            _reject_edge(line, n)
-        colour_of[key] = c
-    return SignedGraph._checked(n, colour_of), rest
+        if n is None:
+            head = (lineno, raw, tokens)
+            if tokens[0] != "sg":
+                raise _error(head, 0, "expected 'sg <n>' header")
+            if len(tokens) != 2:
+                raise _error(head, 0, "header takes exactly one count")
+            n = _int_token(head, 1, "a vertex count")
+            if n < 0:
+                raise _error(head, 1, "vertex count must be nonnegative")
+            if target_n is not None:
+                try:
+                    lists = [None] * n
+                except (MemoryError, OverflowError):
+                    pass  # the graph's count probe fails before any list line counts
+        elif tokens[0] == "e":
+            try:
+                _, a, b, sym = tokens
+                u = int(a)
+                v = int(b)
+                c = COLOUR_SYMBOLS[sym]
+            except (ValueError, KeyError):
+                _reject_edge((lineno, raw, tokens), n)
+            key = (u, v) if u < v else (v, u)
+            if not 0 <= key[0] < key[1] < n or key in colour_of:
+                _reject_edge((lineno, raw, tokens), n)
+            colour_of[key] = c
+        elif bad is None:
+            if lists is not None:
+                try:
+                    kind, head, *tail = tokens
+                    v = int(head)
+                    rest = tuple(tail)
+                    values = checked.get(rest)
+                    if values is None:
+                        values = frozenset(map(int, tail))
+                        if values and (min(values) < 0 or max(values) >= target_n):
+                            values = None
+                        else:
+                            checked[rest] = values
+                except ValueError:
+                    values = None
+                if values is not None and kind == "l" and 0 <= v < n and lists[v] is None:
+                    lists[v] = values
+                    continue
+            bad = (lineno, raw, tokens)
+    if n is None:
+        raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
+    return SignedGraph._checked(n, colour_of), lists, bad
 
 
 def _reject_edge(line: Tuple[int, str, List[str]], n: int) -> NoReturn:
@@ -102,9 +139,9 @@ def _reject_edge(line: Tuple[int, str, List[str]], n: int) -> NoReturn:
 
 
 def parse_graph(text: str) -> SignedGraph:
-    g, rest = _parse_graph_lines(_tokenize(text))
-    if rest:
-        raise _error(rest[0], 0, f"unexpected directive {rest[0][2][0]!r}")
+    g, _, bad = _read(text, None)
+    if bad is not None:
+        raise _error(bad, 0, f"unexpected directive {bad[2][0]!r}")
     return g
 
 
@@ -123,28 +160,11 @@ def parse_instance(text: str, target_n: int):
     """
     from .solver import Instance
 
-    g, rest = _parse_graph_lines(_tokenize(text))
-    lists: List[Optional[frozenset]] = [None] * g.n
-    checked: Dict[Tuple[str, ...], frozenset] = {}
-    for line in rest:
-        try:
-            kind, head, *tail = line[2]
-            v = int(head)
-        except ValueError:
-            _reject_list(line, g.n, target_n, lists)
-        key = tuple(tail)
-        values = checked.get(key)
-        if values is None:
-            try:
-                values = frozenset(map(int, tail))
-            except ValueError:
-                _reject_list(line, g.n, target_n, lists)
-            if values and (min(values) < 0 or max(values) >= target_n):
-                _reject_list(line, g.n, target_n, lists)
-            checked[key] = values
-        if kind != "l" or not 0 <= v < g.n or lists[v] is not None:
-            _reject_list(line, g.n, target_n, lists)
-        lists[v] = values
+    g, lists, bad = _read(text, target_n)
+    if lists is None:
+        raise MemoryError(f"vertex count {g.n} too large")
+    if bad is not None:
+        _reject_list(bad, g.n, target_n, lists)
     full = frozenset(range(target_n))
     return Instance._checked(g, tuple(full if l is None else l for l in lists))
 

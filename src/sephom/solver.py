@@ -11,7 +11,8 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .sgcore import (
     BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits, _parity_lists, _parity_walk,
@@ -197,6 +198,38 @@ def _components(nbrs: _Nbrs) -> List[List[int]]:
     return comps
 
 
+def _sign_walks(
+    nbrs: _Nbrs, red: List[int], masks: List[int], comp: List[int], y: List[int],
+    stop: Sequence[int], start: Sequence[int],
+) -> Optional[List[List[int]]]:
+    """Parity walks over the support lists of _by_sides from each vertex of
+    comp, in order, that y still marks unreached with -1. A root takes
+    start[r], r the highest place in its mask; across an entry (w, rows) of
+    nbrs[v], unless masks[w] meets stop[r] for v's highest place r, w takes
+    y[v], flipped when rows is red. Returns the walks in root order, each in
+    visiting order; absent when an entry disagrees."""
+    walks = []
+    for root in comp:
+        if y[root] >= 0:
+            continue
+        y[root] = start[masks[root].bit_length() - 1]
+        walk = [root]
+        for v in walk:
+            yv = y[v]
+            row = stop[masks[v].bit_length() - 1]
+            for w, rows, _ in nbrs[v]:
+                if masks[w] & row:
+                    continue
+                p = yv ^ (rows is red)
+                if y[w] < 0:
+                    y[w] = p
+                    walk.append(w)
+                elif y[w] != p:
+                    return None
+        walks.append(walk)
+    return walks
+
+
 def arc_consistency(
     inst: Instance, h: SignedGraph
 ) -> Optional[Tuple[FrozenSet[int], ...]]:
@@ -348,9 +381,7 @@ def solve_oracle(
     )
 
 
-_Signed = List[List[Tuple[int, int]]]
-_Assigned = Optional[List[Tuple[int, int, int]]]
-_Finish = Callable[[_Signed, List[int], List[int]], _Assigned]
+_Finish = Callable[[_Nbrs, List[int], List[int], List[int], List[int]], bool]
 
 
 def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Optional[Solution]:
@@ -361,10 +392,13 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
     (places from len(o.white_order)) then white, and runs arc consistency,
     whose fixpoint confines every other vertex to the class its distance
     from the least one calls for and wipes out a list on an odd cycle.
-    finish then gets red, the component in increasing order, and the masks,
-    and returns (vertex, place, switch bit) triples or None. red[v] lists
-    each neighbour of v in increasing order, with 1 for a red edge: the
-    instance's one signed adjacency. Absent when a component fails both."""
+    finish then gets the support lists nbrs, red, the component in
+    increasing order, the masks and the switch bits; it pins the mask of
+    every vertex of the component to one place and sets its switch bit, or
+    returns False. nbrs[v] lists (u, rows, memo) for each neighbour u of v in
+    increasing order, and rows is red exactly for a red edge: red and blue
+    edges have tables of the same content, which share one memo. Absent when
+    a component fails both."""
     order, place, uni, bic = table
     g = inst.g
     # Each distinct list is checked and turned into a mask of places once.
@@ -377,13 +411,13 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
                 raise ValueError("list value outside the target")
             m = as_mask[l] = sum(1 << place[a] for a in l)
         base.append(m)
-    red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
-    adj = [uni[a] | bic[a] for a in order]
-    nbrs = _target_nbrs(g, adj, adj, [bic[a] for a in order], {})
+    blue = [uni[a] | bic[a] for a in order]
+    red = list(blue)
+    memo: Dict[int, int] = {}
+    nbrs = _target_nbrs(g, blue, red, [bic[a] for a in order], {id(blue): memo, id(red): memo})
     white = (1 << len(o.white_order)) - 1
     # One masks list for all components: a try resets only its own entries.
     masks = list(base)
-    mapping = [-1] * g.n
     switch = [0] * g.n
     for comp in _components(nbrs):
         comp.sort()
@@ -392,17 +426,15 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
             for v in comp:
                 masks[v] = base[v]
             masks[root] &= cls
-            if masks[root] and _propagate(nbrs, masks, comp, []):
-                result = finish(red, comp, masks)
-                if result is not None:
-                    break
+            if masks[root] and _propagate(nbrs, masks, comp, []) and finish(
+                nbrs, red, comp, masks, switch
+            ):
+                break
         else:
             return None
-        for v, r, p in result:
-            mapping[v] = order[r]
-            switch[v] = p
     return Solution(
-        mapping=tuple(mapping), switching=Switching(v for v in range(g.n) if switch[v])
+        mapping=tuple([order[m.bit_length() - 1] for m in masks]),
+        switching=Switching(compress(range(g.n), switch)),
     )
 
 
@@ -419,62 +451,70 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     return _solve_via_h1(_H1, inst, _H1_ORDERING)
 
 
-def _solve_h1_component(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
+def _solve_h1_component(
+    nbrs: _Nbrs, red: List[int], comp: List[int], masks: List[int], switch: List[int]
+) -> bool:
     """The finish of solve_h1 for one component, as _by_sides calls it, over
     H1's places; masks need only hold comp's masks."""
-    hw = {v: int(masks[v] & 0b000111 != 0) for v in comp}
+    # Boundary vertices have a ground value (place 0 or 3) and take it. Each
+    # has a slot, and each component of the interior, a region, has two
+    # after those. Until the tie walk, switch holds the slot of a boundary
+    # vertex and sigma of any other: its red parity from the least vertex
+    # of its region.
     boundary = [v for v in comp if masks[v] & 0b001001]
-    ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
-    interior = [v for v in comp if v not in ground]
-    # Regions are the components of the interior, sigma the red parity of
-    # each vertex from the least vertex of its region.
-    found = _parity_walk(
-        {v: [(w, p) for w, p in red[v] if w not in ground] for v in interior}, interior
-    )
-    if found is None:
-        return None
-    sigma, regions = found
+    for v in comp:
+        switch[v] = -1
+    for i, a in enumerate(boundary):
+        switch[a] = i
+    regions = _sign_walks(nbrs, red, masks, comp, switch, (0b001001,) * 6, (0,) * 6)
+    if regions is None:
+        return False
+    size = len(boundary) + 2 * len(regions)
+    nodes = range(len(boundary), size, 2)
 
     # Every edge from a region to a ground vertex maps onto a blue edge of H1
-    # (places 0-4, 0-5, 1-3 or 2-3), so a region vertex k of class hw[k]
-    # switches by sigma[k] ^ c and each ground neighbour across an edge of
-    # red parity r by r ^ sigma[k] ^ c, where c is one bit per (region,
-    # class): the bit of node len(boundary) + 2 * ridx + hw[k] in a walk
-    # whose first nodes are the boundary vertices. A region's own edges then
-    # ask for equal class bits on the long side {1, 4} and, across the red
-    # edge, unequal ones on the short side {2, 5}. A region that fits one
-    # side only is tied to it; one that fits both takes the long side unless
+    # (places 0-4, 0-5, 1-3 or 2-3), so a region vertex k of class hw (1 for
+    # white) switches by sigma[k] ^ c and each ground neighbour across an
+    # edge of red parity r by r ^ sigma[k] ^ c, where c is one bit per
+    # (region, class): the bit of the region's slot + hw in a walk whose
+    # first nodes are the boundary slots. A region's own edges then ask for
+    # equal class bits on the long side {1, 4} and, across the red edge,
+    # unequal ones on the short side {2, 5}. A region that fits one side
+    # only is tied to it; one that fits both takes the long side unless
     # ground vertices of both classes decide. Every region fits a side:
     # across an interior edge long values support only long ones and short
     # only short, so after arc consistency a region has long values at every
     # vertex or at none, and likewise short ones; no list is empty.
-    slot = {a: i for i, a in enumerate(boundary)}
     ties: List[Tuple[int, int, int]] = []
-    for ridx, region in enumerate(regions):
-        t_ok = all(masks[k] >> (4 - 3 * hw[k]) & 1 for k in region)
-        s_ok = all(masks[k] >> (5 - 3 * hw[k]) & 1 for k in region)
-        node = len(boundary) + 2 * ridx
+    for node, region in zip(nodes, regions):
+        t_ok = s_ok = True
         touched = set()
         for k in region:
-            for a, r in red[k]:
-                if a in ground:
-                    ties.append((slot[a], node + hw[k], r ^ sigma[k]))
-                    touched.add(hw[k])
+            m = masks[k]
+            hw = int(m & 0b000111 != 0)
+            t_ok &= m >> (4 - 3 * hw) & 1 == 1
+            s_ok &= m >> (5 - 3 * hw) & 1 == 1
+            for a, rows, _ in nbrs[k]:
+                if masks[a] & 0b001001:
+                    ties.append((switch[a], node + hw, (rows is red) ^ switch[k]))
+                    touched.add(hw)
         if t_ok != s_ok or len(touched) < 2:
             ties.append((node, node + 1, not t_ok))
 
-    size = len(boundary) + 2 * len(regions)
     found = _parity_walk(_parity_lists(size, ties), range(size))
     if found is None:
-        return None
+        return False
     bit = found[0]
-    out = [(a, ground[a], bit[slot[a]]) for a in boundary]
-    for ridx, region in enumerate(regions):
-        node = len(boundary) + 2 * ridx
+    for a in boundary:
+        masks[a] = 0b000001 if masks[a] & 1 else 0b001000
+        switch[a] = bit[switch[a]]
+    for node, region in zip(nodes, regions):
         side = 4 if bit[node] == bit[node + 1] else 5
         for k in region:
-            out.append((k, side - 3 * hw[k], sigma[k] ^ bit[node + hw[k]]))
-    return out
+            hw = int(masks[k] & 0b000111 != 0)
+            masks[k] = 1 << (side - 3 * hw)
+            switch[k] ^= bit[node + hw]
+    return True
 
 
 def solve_ordered(
@@ -501,21 +541,23 @@ def solve_ordered(
     # Whether t flips the vertex at each place. t makes every unicoloured
     # edge blue, so one is red when t flips exactly one of its ends.
     flip_at = [int(a in t.flipped) for a in order]
+    bic_at = [bic[a] for a in order]
 
-    def finish(red: _Signed, comp: List[int], masks: List[int]) -> _Assigned:
-        image = {v: (masks[v] & -masks[v]).bit_length() - 1 for v in comp}
-        onto_uni = {v: [] for v in comp}
+    # Every vertex takes its least place. With y the switch bit xor flip_at
+    # of the place, an edge onto a unicoloured image edge asks y to differ
+    # across it exactly when it is red. switch holds y until the walks end,
+    # and each walk's root has switch bit 0.
+    def finish(nbrs: _Nbrs, red: List[int], comp: List[int], masks: List[int],
+               switch: List[int]) -> bool:
         for v in comp:
-            r = image[v]
-            row, fr = bic[order[r]], flip_at[r]
-            for w, p in red[v]:
-                s = image[w]
-                if not row >> s & 1:
-                    onto_uni[v].append((w, p ^ fr ^ flip_at[s]))
-        found = _parity_walk(onto_uni, comp)
-        if found is None:
-            return None
-        return [(v, image[v], found[0][v]) for v in comp]
+            m = masks[v]
+            masks[v] = m & -m
+            switch[v] = -1
+        if _sign_walks(nbrs, red, masks, comp, switch, bic_at, flip_at) is None:
+            return False
+        for v in comp:
+            switch[v] ^= flip_at[masks[v].bit_length() - 1]
+        return True
 
     return _by_sides(inst, o, table, finish)
 

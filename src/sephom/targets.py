@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .separable import CycleForm
-from .sgcore import BICOLOURED, BLUE, RED, SignedGraph
+from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, _probe_count
 
 H0 = "H0"
 H1 = "H1"
@@ -52,6 +52,7 @@ def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
 
 
 def _cycle_edges(ell: int, long_colour, short_colours):
+    _probe_count(ell + 3)
     edges = [(i, i + 1, long_colour) for i in range(ell)]
     edges.append((0, ell + 1, short_colours[0]))
     edges.append((ell + 1, ell + 2, short_colours[1]))

@@ -28,6 +28,7 @@ from sephom.files import COLOUR_SYMBOLS, ParseError
 from sephom.hardness import QuadCsp, build_gadget
 from sephom.ordering import (
     Ordering,
+    _rank_rows,
     ordering_for_cycle_target,
     verify_min_ordering,
     verify_special,
@@ -43,8 +44,16 @@ from sephom.separable import (
     PathForm,
     find_segments,
 )
-from sephom.sgcore import _bits, bipartition
-from sephom.solver import Instance
+from sephom.sgcore import _bits, _parity_lists, _parity_walk, _switching, bipartition, is_semi_balanced
+from sephom.solver import (
+    _H1,
+    _H1_ORDERING,
+    Instance,
+    Solution,
+    _components,
+    _propagate,
+    _target_nbrs,
+)
 from sephom.witness import Chain, InvertiblePair, _uni_masks
 
 
@@ -976,6 +985,153 @@ def planted_instance(rng, h, n, extra, decoys):
         edges.setdefault((u, v), c)
     lists = [{a, *rng.sample(range(h.n), rng.randint(0, min(decoys, h.n)))} for a in img]
     return Instance(SignedGraph(n, [(u, v, c) for (u, v), c in edges.items()]), lists)
+
+
+def _ref_by_sides(inst, o, table, finish):
+    """The side loop of solve_ordered and the H1 route as it was with a
+    second signed adjacency: red[v] lists (neighbour, 1 for a red edge) in
+    increasing order, and finish returns (vertex, place, switch bit)
+    triples, or None."""
+    order, place, uni, bic = table
+    g = inst.g
+    base = []
+    for l in inst.lists:
+        if any(a >= len(order) for a in l):
+            raise ValueError("list value outside the target")
+        base.append(sum(1 << place[a] for a in l))
+    red = _parity_lists(g.n, ((u, v, c is RED) for u, v, c in g.edges))
+    adj = [uni[a] | bic[a] for a in order]
+    nbrs = _target_nbrs(g, adj, adj, [bic[a] for a in order], {})
+    white = (1 << len(o.white_order)) - 1
+    masks = list(base)
+    mapping = [-1] * g.n
+    switch = [0] * g.n
+    for comp in _components(nbrs):
+        comp.sort()
+        root = comp[0]
+        for cls in (~white, white):
+            for v in comp:
+                masks[v] = base[v]
+            masks[root] &= cls
+            if masks[root] and _propagate(nbrs, masks, comp, []):
+                result = finish(red, comp, masks)
+                if result is not None:
+                    break
+        else:
+            return None
+        for v, r, p in result:
+            mapping[v] = order[r]
+            switch[v] = p
+    return Solution(
+        mapping=tuple(mapping), switching=Switching(v for v in range(g.n) if switch[v])
+    )
+
+
+def ref_solve_ordered(inst, h, o):
+    """solve_ordered's decision with dict-based finishing: the least place
+    of every vertex, then a parity walk over the edges onto unicoloured
+    image edges. o must be a special min ordering of the semi-balanced h."""
+    table = _rank_rows(h, o)
+    order, _, _, bic = table
+    t = is_semi_balanced(h)
+    flip_at = [int(a in t.flipped) for a in order]
+
+    def finish(red, comp, masks):
+        image = {v: (masks[v] & -masks[v]).bit_length() - 1 for v in comp}
+        onto_uni = {v: [] for v in comp}
+        for v in comp:
+            r = image[v]
+            row, fr = bic[order[r]], flip_at[r]
+            for w, p in red[v]:
+                s = image[w]
+                if not row >> s & 1:
+                    onto_uni[v].append((w, p ^ fr ^ flip_at[s]))
+        found = _parity_walk(onto_uni, comp)
+        if found is None:
+            return None
+        return [(v, image[v], found[0][v]) for v in comp]
+
+    return _ref_by_sides(inst, o, table, finish)
+
+
+def _ref_h1_component(red, comp, masks):
+    """The H1 finish for one component over H1's places, with dicts for
+    the class, ground place and slot of each vertex and a region walk over
+    a dict of lists."""
+    hw = {v: int(masks[v] & 0b000111 != 0) for v in comp}
+    boundary = [v for v in comp if masks[v] & 0b001001]
+    ground = {v: 0 if masks[v] & 1 else 3 for v in boundary}
+    interior = [v for v in comp if v not in ground]
+    found = _parity_walk(
+        {v: [(w, p) for w, p in red[v] if w not in ground] for v in interior}, interior
+    )
+    if found is None:
+        return None
+    sigma, regions = found
+    slot = {a: i for i, a in enumerate(boundary)}
+    ties = []
+    for ridx, region in enumerate(regions):
+        t_ok = all(masks[k] >> (4 - 3 * hw[k]) & 1 for k in region)
+        s_ok = all(masks[k] >> (5 - 3 * hw[k]) & 1 for k in region)
+        node = len(boundary) + 2 * ridx
+        touched = set()
+        for k in region:
+            for a, r in red[k]:
+                if a in ground:
+                    ties.append((slot[a], node + hw[k], r ^ sigma[k]))
+                    touched.add(hw[k])
+        if t_ok != s_ok or len(touched) < 2:
+            ties.append((node, node + 1, not t_ok))
+    size = len(boundary) + 2 * len(regions)
+    found = _parity_walk(_parity_lists(size, ties), range(size))
+    if found is None:
+        return None
+    bit = found[0]
+    out = [(a, ground[a], bit[slot[a]]) for a in boundary]
+    for ridx, region in enumerate(regions):
+        node = len(boundary) + 2 * ridx
+        side = 4 if bit[node] == bit[node + 1] else 5
+        for k in region:
+            out.append((k, side - 3 * hw[k], sigma[k] ^ bit[node + hw[k]]))
+    return out
+
+
+def ref_solve_via_h1(target, inst, o):
+    """The H1 route over the places of o, the verdict's ordering of a
+    target that matches H1, finished by _ref_h1_component."""
+    table = _rank_rows(target, o)
+    order, place, _, _ = table
+    h1 = _H1_ORDERING.white_order + _H1_ORDERING.black_order
+    s = _switching(target, (
+        (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
+        for u, v, c in target.edges if c is not BICOLOURED
+    ), (order[0],)).flipped
+    sol = _ref_by_sides(inst, o, table, _ref_h1_component)
+    return sol and Solution(sol.mapping, Switching(
+        sol.switching.flipped ^ {v for v, a in enumerate(sol.mapping) if a in s}
+    ))
+
+
+def planted_path_text(rng, h, n):
+    """The text of an instance on the path 0..n-1 that a random walk in h
+    and a random switching solve: each edge takes the colour the switched
+    walk needs (any colour onto a bicoloured edge), and each list holds the
+    walk's vertex and one random target vertex."""
+    nbrs = [[b for b in range(h.n) if h.adjacent(a, b)] for a in range(h.n)]
+    img = [rng.choice([a for a in range(h.n) if nbrs[a]])]
+    for _ in range(n - 1):
+        img.append(rng.choice(nbrs[img[-1]]))
+    flip = [rng.randrange(2) for _ in range(n)]
+    lines = ["sg %d" % n]
+    for v in range(n - 1):
+        c = h.colour(img[v], img[v + 1])
+        if c is BICOLOURED:
+            c = rng.choice((BLUE, RED, BICOLOURED))
+        elif flip[v] != flip[v + 1]:
+            c = RED if c is BLUE else BLUE
+        lines.append("e %d %d %s" % (v, v + 1, c.value))
+    lines.extend("l %d %d %d" % (v, img[v], rng.randrange(h.n)) for v in range(n))
+    return "\n".join(lines) + "\n"
 
 
 def random_path_target(rng, n, p_chord=0.3):

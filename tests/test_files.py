@@ -1,12 +1,14 @@
 """Text formats: graphs, instances, quadruple CSPs, and their error positions."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    planted_path_text,
     random_instance,
     ref_parse_graph,
     ref_parse_instance,
@@ -127,6 +129,54 @@ def test_equal_list_lines_share_one_checked_set():
         found = _outcome(parse_instance, text, 6)
         assert found[0] == "error"
         assert found == _outcome(ref_parse_instance, text, 6)
+
+
+def test_errors_keep_their_precedence_across_the_line_order():
+    # Edge lines are checked first wherever they stand, then the vertex
+    # count, then the first bad line of any other kind.
+    for count in (2**62, 2**64):
+        for parse, args in ((parse_graph, ()), (parse_instance, (3,)),
+                            (ref_parse_graph, ()), (ref_parse_instance, (3,))):
+            for rest in ("x 0\n", "l 0 9\n", "l 0 1\nl 0 2\ne 0 1 +\n", "e 1 0 -\nl x\n"):
+                with pytest.raises(MemoryError):
+                    parse("sg %d\n%s" % (count, rest), *args)
+            with pytest.raises(ParseError, match="loop at vertex 1") as e:
+                parse("sg %d\nl 0 9\nz\ne 1 1 +\n" % count, *args)
+            assert (e.value.line, e.value.col) == (4, 3)
+    for text in (
+        "sg 3\nl 0 7\ne 0 1 +\ne 1 2 ?\n",
+        "sg 3\nl 0 1\nl 0 2\ne 2 1 *\ne 1 1 +\n",
+        "sg 3\nl 5 1\ne 0 1 +\n# e 0 0 +\ne 0 1 -\n",
+        "sg 3\nq 1\ne 0 9 +\n",
+    ):
+        found = _outcome(parse_instance, text, 3)
+        assert found[0] == "error" and found[2] == text.count("\n")
+        assert found == _outcome(ref_parse_instance, text, 3)
+    # List lines ahead of, between and after the edge lines.
+    rng = random.Random(5)
+    inst = random_instance(rng, 30, build_hl(5), p_edge=0.2)
+    body = ["e %d %d %s" % (u, v, c.value) for u, v, c in inst.g.edges]
+    body += ["l %d %s" % (v, " ".join(map(str, l))) for v, l in enumerate(inst.lists) if v % 3]
+    for lines in (body[::-1], sorted(body, key=lambda line: line[0] == "e"), rng.sample(body, len(body))):
+        text = "sg 30\n" + "\n".join(lines)
+        assert _outcome(parse_instance, text, 8) == _outcome(ref_parse_instance, text, 8)
+        assert parse_instance(text, 8).lists == tuple(
+            l if v % 3 else frozenset(range(8)) for v, l in enumerate(inst.lists))
+
+
+def test_parse_instance_peaks_under_twice_the_instance_it_returns():
+    # Bytes, not time: a parser that held every line's tokens until the end
+    # peaked at about 4.5 times the instance on this path.
+    h = build_hl(5)
+    text = planted_path_text(random.Random(3), h, 20_000)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text, h.n)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.g.n == 20_000 and len(inst.g.edges) == 19_999
+    assert peak <= 2 * size, (peak, size)
 
 
 def test_quadcsp_round_trip():

@@ -131,6 +131,30 @@ def test_a_gadget_too_large_to_hold_fails_at_once():
     assert (done.returncode, done.stdout) == (0, "vertex count %d too large\n" % (2 ** 64 + 4))
 
 
+@pytest.mark.parametrize("name", ["build_hl", "build_reduction_target"])
+def test_a_template_target_too_large_to_hold_fails_at_once(name):
+    # As for the gadget: under the same limit, a builder that grows its edge
+    # list first ends in a bare MemoryError after seconds.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from sephom.targets import %s as build\n"
+        "try:\n"
+        "    build(2 ** 64 + 1)\n"
+        "except MemoryError as err:\n"
+        "    print(err)\n"
+    ) % name
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "vertex count %d too large\n" % (2 ** 64 + 4))
+
+
 def test_gadget_signs_are_frozen():
     g5 = build_gadget(5)
     spine = [g5.graph.colour(i, i + 1) for i in range(5)]

@@ -20,8 +20,12 @@ from helpers import (
     random_lists,
     random_path_target,
     random_relabel,
+    random_segmented_path,
     random_signed_graph,
     random_switching,
+    ref_components,
+    ref_solve_ordered,
+    ref_solve_via_h1,
     solution_errors,
     took,
 )
@@ -710,6 +714,73 @@ def test_the_side_routes_never_build_the_targets_masks():
         for inst in (planted_instance(rng, target, 12, 6, 2), random_instance(rng, 8, target)):
             solve(target, inst)
         assert "adj_mask" not in vars(target) and "bic_mask" not in vars(target)
+
+
+def test_the_side_routes_build_no_signed_adjacency_of_the_instance(monkeypatch):
+    # The finishers read each edge's sign off the support lists, where a
+    # red edge's rows table is the red one; only the H1 finish still walks
+    # parity lists, over its boundary and region slots.
+    sizes = []
+    build = solver._parity_lists
+    monkeypatch.setattr(solver, "_parity_lists", lambda n, edges: sizes.append(n) or build(n, edges))
+    rng = random.Random(27)
+    for h in (disguise(rng, build_hl(7)), disguise(rng, right_segmented_path()),
+              disguise(rng, build_h1())):
+        for n in (40, 90):
+            inst = planted_instance(rng, h, n, n // 5, 2)
+            sizes.clear()
+            assert solve(h, inst) is not None
+            assert n not in sizes
+
+
+def _planted_then_perturbed(rng, h):
+    """One to three planted components, then up to three edits, each one
+    recolouring an edge, shrinking a list to one random value, or adding a
+    random edge, so that some instances have no solution."""
+    edges, lists = {}, []
+    for _ in range(rng.randint(1, 3)):
+        part = planted_instance(rng, h, rng.randint(1, 30), rng.randint(0, 8), rng.randint(0, 3))
+        edges.update(((u + len(lists), v + len(lists)), c) for u, v, c in part.g.edges)
+        lists += part.lists
+    n = len(lists)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0 and edges:
+            edges[rng.choice(sorted(edges))] = rng.choice((BLUE, RED, BICOLOURED))
+        elif kind == 1:
+            lists[rng.randrange(n)] = {rng.randrange(h.n)}
+        elif n > 1:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges[u, v] = rng.choice((BLUE, RED, BICOLOURED))
+    return Instance(SignedGraph(n, [(u, v, c) for (u, v), c in edges.items()]), lists)
+
+
+def test_side_routes_match_the_second_adjacency_references():
+    # tests/helpers.py keeps both finishers as they were with a signed
+    # adjacency of (neighbour, red bit) lists and per-component dicts.
+    rng = random.Random(2027)
+    hs = [disguise(rng, build_hl(ell)) for ell in (3, 5, 7)] + [disguise(rng, build_h1())]
+    while len(hs) < 10:
+        g = random_segmented_path(rng, rng.randint(6, 16))
+        if classify(g).complexity == POLYNOMIAL:
+            hs.append(disguise(rng, g))
+    answers = {}
+    for k in range(1200):
+        h = hs[k % len(hs)]
+        verdict = classify(h)
+        ref = ref_solve_via_h1 if verdict.reason == "MatchesH1" else (
+            lambda h, inst, o: ref_solve_ordered(inst, h, o))
+        inst = _planted_then_perturbed(rng, h)
+        sol = solve(h, inst)
+        assert sol == ref(h, inst, verdict.ordering)
+        key = (verdict.reason, sol is None, len(ref_components(inst.g)) > 1)
+        answers[key] = answers.get(key, 0) + 1
+    reasons = {reason for reason, _, _ in answers}
+    assert len(reasons) >= 2 and "MatchesH1" in reasons
+    for reason in reasons:
+        for no in (False, True):
+            for several in (False, True):
+                assert answers.get((reason, no, several), 0) >= 10, (reason, no, several, answers)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
