@@ -43,16 +43,19 @@ def _classes(
 ) -> Iterator[SignedGraph]:
     """For each set of bicoloured chords, as a mask over chords, that no
     vertex permutation in perms maps to a smaller mask: one graph per base
-    edge list, in mask order."""
+    edge list, in mask order. Base edges and chords are pairs u < v, none
+    repeated, so the graphs go through the trusted constructor."""
     index = {ch: k for k, ch in enumerate(chords)}
     images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in chords] for p in perms]
+    keys = [i * n + j for i, j in chords]
+    keyed_bases = [{u * n + v: c for u, v, c in base} for base in bases]
     for mask in range(1 << len(chords)):
         ks = list(_bits(mask))
         if any(sum(image[k] for k in ks) < mask for image in images):
             continue
-        extra = [(*chords[k], BICOLOURED) for k in ks]
-        for base in bases:
-            yield SignedGraph(n, base + extra)
+        extra = {keys[k]: BICOLOURED for k in ks}
+        for base in keyed_bases:
+            yield SignedGraph._checked(n, {**base, **extra})
 
 
 def _read(path: str) -> str:

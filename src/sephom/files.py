@@ -57,7 +57,7 @@ def _read(text: str, target_n: Optional[int]):
     then a vertex count too large to hold (MemoryError), come before it. No
     list line is read after that line."""
     n = None
-    colour_of: Dict[Tuple[int, int], EdgeColour] = {}
+    keyed: Dict[int, EdgeColour] = {}
     lists: Optional[List[Optional[frozenset]]] = None
     checked: Dict[Tuple[str, ...], frozenset] = {}
     bad = None
@@ -89,10 +89,12 @@ def _read(text: str, target_n: Optional[int]):
                 c = COLOUR_SYMBOLS[sym]
             except (ValueError, KeyError):
                 _reject_edge((lineno, raw, tokens), n)
-            key = (u, v) if u < v else (v, u)
-            if not 0 <= key[0] < key[1] < n or key in colour_of:
+            if u > v:
+                u, v = v, u
+            key = u * n + v
+            if not 0 <= u < v < n or key in keyed:
                 _reject_edge((lineno, raw, tokens), n)
-            colour_of[key] = c
+            keyed[key] = c
         elif bad is None:
             if lists is not None:
                 try:
@@ -114,7 +116,7 @@ def _read(text: str, target_n: Optional[int]):
             bad = (lineno, raw, tokens)
     if n is None:
         raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
-    return SignedGraph._checked(n, colour_of), lists, bad
+    return SignedGraph._checked(n, keyed), lists, bad
 
 
 def _reject_edge(line: Tuple[int, str, List[str]], n: int) -> NoReturn:

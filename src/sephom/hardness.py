@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .sgcore import BLUE, RED, EdgeColour, SignedGraph, _probe_count, walk_sign
+from .sgcore import BLUE, RED, SignedGraph, _probe_count, walk_sign
 from .solver import Gf2System, Instance, gf2_solve
 from .targets import _check_odd
 
@@ -122,19 +122,25 @@ def build_reduction(csp: QuadCsp, ell: int) -> Instance:
     trusted constructors unchecked; equal lists are one frozenset."""
     _check_odd(ell, 5)
     gadget = build_gadget(ell)
-    colour_of: Dict[Tuple[int, int], EdgeColour] = {}
     lists: List[FrozenSet[int]] = []
     left: Dict[str, List[int]] = {}
     right: Dict[str, List[int]] = {}
     for qa, qb, qc, qd in csp.quads:
         base = len(lists)
         lists.extend(gadget.lists)
-        for u, v, c in gadget.graph.edges:
-            colour_of[base + u, base + v] = c
         left.setdefault(qa, []).append(base + gadget.a)
         left.setdefault(qb, []).append(base + gadget.b)
         right.setdefault(qc, []).append(base + gadget.c)
         right.setdefault(qd, []).append(base + gadget.d)
+    # An edge u-v with u < v is keyed u * n + v, so the linking vertices
+    # are counted before any key is written.
+    n = len(lists)
+    for r in csp.vars:
+        occ_l, occ_r = left.get(r, ()), right.get(r, ())
+        n += (len(occ_l) >= 2) + (len(occ_r) >= 2) + (ell - 1 if occ_l and occ_r else 0)
+    step = gadget.graph.n * (n + 1)  # the shift of a key from one gadget to the next
+    spread = [(u * n + v, c) for u, v, c in gadget.graph.edges]
+    keyed = {shift + k: c for shift in range(0, len(csp.quads) * step, step) for k, c in spread}
     point = [frozenset((i,)) for i in range(ell)]  # one shared list {i} per i
     # A linking vertex is new, so it is the larger end of each edge it gets,
     # except the last edge of a linking path, whose key is flipped.
@@ -146,15 +152,15 @@ def build_reduction(csp: QuadCsp, ell: int) -> Instance:
                 x = len(lists)
                 lists.append(point[i])
                 for o in occ:
-                    colour_of[o, x] = BLUE
+                    keyed[o * n + x] = BLUE
         if occ_l and occ_r:
             u = occ_l[0]
             for v in range(len(lists), len(lists) + ell - 1):
-                colour_of[u, v] = BLUE
+                keyed[u * n + v] = BLUE
                 u = v
-            colour_of[occ_r[0], u] = BLUE
+            keyed[occ_r[0] * n + u] = BLUE
             lists.extend(point[1:])
-    return Instance._checked(SignedGraph._checked(len(lists), colour_of), tuple(lists))
+    return Instance._checked(SignedGraph._checked(n, keyed), tuple(lists))
 
 
 __all__ = [

@@ -43,11 +43,14 @@ class Bipartition:
 
 
 class _BuiltOnRead:
-    """A mask attribute of SignedGraph: the first read of either mask builds
-    both and stores them on the graph, where they shadow this descriptor.
+    """An attribute of SignedGraph that build(g) makes from the edges on its
+    first read; it is stored on the graph, where it shadows this descriptor.
     Not functools.cached_property: it writes through the instance
     ``__dict__``, after which CPython reads every attribute of the graph
     more slowly."""
+
+    def __init__(self, build) -> None:
+        self.build = build
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -55,56 +58,66 @@ class _BuiltOnRead:
     def __get__(self, g, owner=None):
         if g is None:
             return self
-        g.adj_mask, g.bic_mask = _masks(g.n, g._colour)
-        return getattr(g, self.name)
+        value = self.build(g)
+        setattr(g, self.name, value)
+        return value
 
 
 class SignedGraph:
     """An irreflexive signed graph on vertices 0..n-1.
 
     Each unordered vertex pair carries at most one edge record; a bicoloured
-    edge stands for a coincident red-blue pair and is a single record.
+    edge stands for a coincident red-blue pair and is a single record. A
+    graph holds ``n`` and ``edges``, its records (u, v, colour) with u < v
+    in sorted order; the builders key an edge u-v as the int u * n + v.
 
     ``adj_mask`` and ``bic_mask`` (per-vertex neighbour bitmasks, over all
-    edges and over bicoloured ones) are built on first read and kept: the
-    targets' verifiers and witness searches read them, while an instance
-    graph, which the solvers read only through ``edges`` and ``colour``,
-    never pays their quadratic bit work.
+    edges and over bicoloured ones) and ``_colour`` (the (u, v) to colour
+    map behind ``colour`` and ``adjacent``) are built on first read and
+    kept: the targets' verifiers and witness searches read them, while an
+    instance graph, which the solvers read only through ``edges``, never
+    pays their quadratic bit work or a second copy of its edges.
     """
 
-    adj_mask = _BuiltOnRead()
-    bic_mask = _BuiltOnRead()
+    adj_mask = _BuiltOnRead(lambda g: _masks(g.n, g.edges))
+    bic_mask = _BuiltOnRead(lambda g: _masks(g.n, [e for e in g.edges if e[2] is BICOLOURED]))
+    _colour = _BuiltOnRead(lambda g: {(u, v): c for u, v, c in g.edges})
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, EdgeColour]]):
+        # bool is a subclass of int, so True would pass an isinstance check.
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        colour_of = {}
+        keyed: Dict[int, EdgeColour] = {}
         for u, v, c in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"vertex ids must be ints, got edge {u!r}-{v!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"unknown vertex id in edge {u}-{v}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not isinstance(c, EdgeColour):
                 raise ValueError(f"bad edge colour {c!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in colour_of:
-                raise ValueError(f"parallel edge records on {key[0]}-{key[1]}")
-            colour_of[key] = c
-        self._fill(n, colour_of)
+            key = u * n + v if u < v else v * n + u
+            if key in keyed:
+                raise ValueError("parallel edge records on %d-%d" % divmod(key, n))
+            keyed[key] = c
+        self._fill(n, keyed)
 
     @classmethod
-    def _checked(cls, n: int, colour_of: Dict[Tuple[int, int], EdgeColour]) -> "SignedGraph":
-        """The graph of a colour map keyed by (u, v) with 0 <= u < v < n,
+    def _checked(cls, n: int, keyed: Dict[int, EdgeColour]) -> "SignedGraph":
+        """The graph of a colour map keyed by u * n + v with 0 <= u < v < n,
         already checked as __init__ checks its edges."""
         g = cls.__new__(cls)
-        g._fill(n, colour_of)
+        g._fill(n, keyed)
         return g
 
-    def _fill(self, n: int, colour_of: Dict[Tuple[int, int], EdgeColour]) -> None:
+    def _fill(self, n: int, keyed: Dict[int, EdgeColour]) -> None:
+        """Keep n and the edges of keyed in key order, not keyed itself."""
         _probe_count(n)
         self.n = n
-        self._colour = colour_of
-        self.edges = tuple([(u, v, c) for (u, v), c in sorted(colour_of.items())])
+        self.edges = tuple([(k // n, k % n, keyed[k]) for k in sorted(keyed)])
 
     def colour(self, u: int, v: int) -> Optional[EdgeColour]:
         return self._colour.get((u, v) if u < v else (v, u))
@@ -145,19 +158,13 @@ def _probe_count(n: int) -> None:
         raise MemoryError(f"vertex count {n} too large") from None
 
 
-def _masks(
-    n: int, colour_of: Dict[Tuple[int, int], EdgeColour]
-) -> Tuple[List[int], List[int]]:
-    """Per-vertex neighbour bitmasks over all edges and over bicoloured ones."""
-    adj = [0] * n
-    bic = [0] * n
-    for (u, v), c in colour_of.items():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if c is BICOLOURED:
-            bic[u] |= 1 << v
-            bic[v] |= 1 << u
-    return adj, bic
+def _masks(n: int, edges: Iterable[Tuple[int, int, EdgeColour]]) -> List[int]:
+    """Per-vertex neighbour bitmasks over the given edges."""
+    rows = [0] * n
+    for u, v, _ in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 def _bits(mask: int):

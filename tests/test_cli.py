@@ -80,6 +80,24 @@ def test_enum_counts_are_cumulative():
     )
 
 
+def test_enum_targets_are_the_graphs_their_edges_give():
+    # The enumerator builds through the trusted constructor; each graph is
+    # the one the checking constructor makes of its edges, it holds no
+    # colour map, and count and order are as before.
+    digest = hashlib.sha256()
+    count = 0
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 8):
+            assert "_colour" not in vars(g)
+            assert g == SignedGraph(g.n, g.edges)
+            digest.update(serialize_graph(g).encode())
+            count += 1
+    assert count == 414
+    assert digest.hexdigest() == (
+        "7c5cf0057df2b590d586f728ab11cfc45e0c25b0675d22e27821529abfea6cb4"
+    )
+
+
 def test_enum_validation():
     with pytest.raises(ValueError, match="capped"):
         next(enum_targets("path", 15))

@@ -179,6 +179,24 @@ def test_parse_instance_peaks_under_twice_the_instance_it_returns():
     assert peak <= 2 * size, (peak, size)
 
 
+def test_parse_instance_builds_no_colour_map():
+    # Bytes, not time: the colour map is built on its first read, so reading
+    # it after the parse adds a large share of the instance's own size.
+    h = build_hl(5)
+    text = planted_path_text(random.Random(3), h, 20_000)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text, h.n)
+        size = tracemalloc.get_traced_memory()[0]
+        assert "_colour" not in vars(inst.g)
+        inst.g._colour
+        grown = tracemalloc.get_traced_memory()[0] - size
+    finally:
+        tracemalloc.stop()
+    assert grown >= 0.4 * size, (grown, size)
+    assert "_colour" not in vars(parse_graph(serialize_graph(h)))
+
+
 def test_quadcsp_round_trip():
     csp = parse_quadcsp("v p\nv q\nq p q p q\nq q q q q\n")
     assert csp.vars == ("p", "q")

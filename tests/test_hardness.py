@@ -268,6 +268,12 @@ def test_build_reduction_matches_the_checked_reference():
             assert all(shared.setdefault(values, values) is values for values in inst.lists)
 
 
+def test_build_reduction_leaves_no_colour_map():
+    for csp in workload_shaped_csps(random.Random(28), 20):
+        for ell in (5, 7):
+            assert "_colour" not in vars(build_reduction(csp, ell).g)
+
+
 def test_reduction_instances_solve_like_the_csp():
     rng = random.Random(11)
     names = ("p", "q", "r", "s")

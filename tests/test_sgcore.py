@@ -72,6 +72,34 @@ def test_construction_rejects_bad_colour():
         SignedGraph(2, [(0, 1, "x")])
 
 
+def test_construction_rejects_ids_and_counts_that_are_not_ints():
+    # bool is a subclass of int, and a float that equals an int passes the
+    # range checks, so each is rejected by type before any key is made.
+    for bad in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            SignedGraph(bad, [])
+    for bad in (1.0, True, False, "1", None):
+        for edge in ((0, bad, BLUE), (bad, 2, RED)):
+            with pytest.raises(ValueError, match="vertex ids must be ints"):
+                SignedGraph(3, [edge])
+
+
+@given(signed_graph_st())
+@settings(max_examples=150)
+def test_the_colour_map_is_built_from_the_edges_on_first_read(g):
+    edges = {(u, v): c for u, v, c in g.edges}
+    graphs = (g, parse_graph(serialize_graph(g)), SignedGraph(g.n, g.edges[::-1]))
+    for graph in graphs:
+        assert "_colour" not in vars(graph)
+    for graph in graphs:
+        for u in range(g.n):
+            for v in range(g.n):
+                c = edges.get((min(u, v), max(u, v)))
+                assert graph.colour(u, v) is c
+                assert graph.adjacent(u, v) == (c is not None)
+        assert graph._colour == edges
+
+
 def test_accessors():
     g = build_h1()
     assert g.n == 6

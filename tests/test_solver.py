@@ -44,7 +44,7 @@ from sephom import (
 )
 from sephom import ordering, sgcore, solver, targets
 from sephom.classify import POLYNOMIAL, classify, classify_path
-from sephom.files import parse_graph, parse_instance, serialize_graph
+from sephom.files import parse_graph, parse_instance, serialize_graph, serialize_instance
 from sephom.hardness import QuadCsp, build_reduction
 from sephom.ordering import Ordering, ordering_for_cycle_target
 from sephom.solver import (
@@ -693,6 +693,19 @@ def test_the_routes_walk_no_unsigned_lists_and_read_no_target_colours(monkeypatc
             assert unsigned not in built
             if route == "ordered":
                 assert reads == []
+
+
+def test_the_routes_never_build_the_instances_colour_map():
+    # The solvers read an instance only through its edges; check_solution
+    # reads the target's colours, not the instance's.
+    rng = random.Random(28)
+    for h in (disguise(rng, build_hl(7)), right_segmented_path(), disguise(rng, build_h1())):
+        for inst in (planted_instance(rng, h, 60, 6, 2), random_instance(rng, 8, h)):
+            inst = parse_instance(serialize_instance(inst), h.n)
+            for alg in ("auto", "oracle"):
+                sol = solve(h, inst, alg)
+                assert sol is None or check_solution(inst, h, sol) == []
+            assert "_colour" not in vars(inst.g)
 
 
 def right_segmented_path():
