@@ -105,7 +105,9 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
         candidates.append((targets.H0, "MatchesH0", None))
     if n == 6 and c.cycle_sign == "-":
         candidates.append((targets.H1, "MatchesH1", None))
-    if n >= 6 and n % 2 == 0 and c.cycle_sign == "+":
+    # Hl(n - 3) is built only when its chord count matches.
+    hl_chords = targets.template_pair_count(n - 3)
+    if n >= 6 and n % 2 == 0 and c.cycle_sign == "+" and len(c.bic) == hl_chords:
         candidates.append((targets.HL, "MatchesHl(%d)" % (n - 3), n - 3))
     for kind, reason, ell in candidates:
         phi = _align(c, targets.template_cycle_form(kind, ell))

@@ -6,9 +6,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, List, Sequence, Tuple
+from operator import getitem
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching, _bits
+from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, Switching
 from .classify import POLYNOMIAL, classify, verdict_dict
 from .files import parse_graph, parse_instance, parse_quadcsp, serialize_graph, serialize_instance
 from .hardness import build_reduction
@@ -44,18 +45,48 @@ def _classes(
     """For each set of bicoloured chords, as a mask over chords, that no
     vertex permutation in perms maps to a smaller mask: one graph per base
     edge list, in mask order. Base edges and chords are pairs u < v, none
-    repeated, so the graphs go through the trusted constructor."""
+    repeated, so the graphs go through the trusted constructor, and every
+    graph shares its base's records and one record per chord: its edges
+    are those records that its mask keeps, in key order."""
+    m = len(chords)
     index = {ch: k for k, ch in enumerate(chords)}
     images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in chords] for p in perms]
-    keys = [i * n + j for i, j in chords]
-    keyed_bases = [{u * n + v: c for u, v, c in base} for base in bases]
-    for mask in range(1 << len(chords)):
-        ks = list(_bits(mask))
-        if any(sum(image[k] for k in ks) < mask for image in images):
+    # (key, bit, record) per base edge and chord; bit m, above every
+    # chord's, keeps the base records.
+    records = [(i * n + j, 1 << k, (i, j, BICOLOURED)) for k, (i, j) in enumerate(chords)]
+    merged = [sorted(records + [(e[0] * n + e[1], 1 << m, e) for e in base]) for base in bases]
+    for mask in _canonical(range(1 << m), m, images):
+        keep = mask | 1 << m
+        for keyed in merged:
+            yield SignedGraph._trusted(n, tuple([r for _, bit, r in keyed if bit & keep]))
+
+
+def _canonical(masks: Iterable[int], m: int, images: List[List[int]]) -> Iterator[int]:
+    """The masks over m chords that no image list maps below themselves;
+    images[p][k] is the bit that permutation p sends chord k to. Per
+    permutation that moves a chord, one table per byte of a mask maps each
+    byte value to the bits its chords go to. The chords of distinct bytes
+    go to distinct bits, so the lookups of a mask's bytes sum to its image."""
+    fixed = [1 << k for k in range(m)]
+    tables = []
+    for image in images:
+        if image == fixed:
             continue
-        extra = {keys[k]: BICOLOURED for k in ks}
-        for base in keyed_bases:
-            yield SignedGraph._checked(n, {**base, **extra})
+        tabs = []
+        for low in range(0, m, 8):
+            tab = [0]
+            for bit in image[low : low + 8]:
+                tab += [t + bit for t in tab]
+            tabs.append(tab)
+        tables.append(tabs)
+    width = (m + 7) // 8
+    for mask in masks:
+        chunks = mask.to_bytes(width, "little")
+        for tabs in tables:
+            if sum(map(getitem, tabs, chunks)) < mask:
+                break
+        else:
+            yield mask
 
 
 def _read(path: str) -> str:

@@ -72,16 +72,17 @@ class SignedGraph:
     in sorted order; the builders key an edge u-v as the int u * n + v.
 
     ``adj_mask`` and ``bic_mask`` (per-vertex neighbour bitmasks, over all
-    edges and over bicoloured ones) and ``_colour`` (the (u, v) to colour
-    map behind ``colour`` and ``adjacent``) are built on first read and
-    kept: the targets' verifiers and witness searches read them, while an
-    instance graph, which the solvers read only through ``edges``, never
-    pays their quadratic bit work or a second copy of its edges.
+    edges and over bicoloured ones), ``_colour`` (the (u, v) to colour
+    map behind ``colour`` and ``adjacent``) and ``_hash`` are built on first
+    read and kept: the targets' verifiers and witness searches read them,
+    while an instance graph, which the solvers read only through ``edges``,
+    never pays their quadratic bit work or a second copy of its edges.
     """
 
     adj_mask = _BuiltOnRead(lambda g: _masks(g.n, g.edges))
     bic_mask = _BuiltOnRead(lambda g: _masks(g.n, [e for e in g.edges if e[2] is BICOLOURED]))
     _colour = _BuiltOnRead(lambda g: {(u, v): c for u, v, c in g.edges})
+    _hash = _BuiltOnRead(lambda g: hash((g.n, g.edges)))
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, EdgeColour]]):
         # bool is a subclass of int, so True would pass an isinstance check.
@@ -103,21 +104,27 @@ class SignedGraph:
             if key in keyed:
                 raise ValueError("parallel edge records on %d-%d" % divmod(key, n))
             keyed[key] = c
-        self._fill(n, keyed)
+        self._fill(n, _in_key_order(n, keyed))
 
     @classmethod
     def _checked(cls, n: int, keyed: Dict[int, EdgeColour]) -> "SignedGraph":
         """The graph of a colour map keyed by u * n + v with 0 <= u < v < n,
         already checked as __init__ checks its edges."""
+        return cls._trusted(n, _in_key_order(n, keyed))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Tuple[Tuple[int, int, EdgeColour], ...]) -> "SignedGraph":
+        """The graph of edge records already checked as __init__ checks its
+        edges and in key order; the records are kept, not copied."""
         g = cls.__new__(cls)
-        g._fill(n, keyed)
+        g._fill(n, edges)
         return g
 
-    def _fill(self, n: int, keyed: Dict[int, EdgeColour]) -> None:
-        """Keep n and the edges of keyed in key order, not keyed itself."""
+    def _fill(self, n: int, edges: Tuple[Tuple[int, int, EdgeColour], ...]) -> None:
+        """The one place that sets n and edges, for every constructor."""
         _probe_count(n)
         self.n = n
-        self.edges = tuple([(k // n, k % n, keyed[k]) for k in sorted(keyed)])
+        self.edges = edges
 
     def colour(self, u: int, v: int) -> Optional[EdgeColour]:
         return self._colour.get((u, v) if u < v else (v, u))
@@ -142,10 +149,15 @@ class SignedGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={list(self.edges)!r})"
+
+
+def _in_key_order(n: int, keyed: Dict[int, EdgeColour]) -> Tuple[Tuple[int, int, EdgeColour], ...]:
+    """The edge records of a colour map keyed by u * n + v, in key order."""
+    return tuple([(k // n, k % n, keyed[k]) for k in sorted(keyed)])
 
 
 def _probe_count(n: int) -> None:

@@ -28,6 +28,13 @@ def template_pairs(ell: int):
     ]
 
 
+def template_pair_count(ell: int) -> int:
+    """len(template_pairs(ell)) without listing them: the pairs with
+    i = 0, 2, 4, ... number m, m - 1, m - 2, ..., where m = (ell - 1) // 2."""
+    m = (ell - 1) // 2
+    return m * (m + 1) // 2
+
+
 def _check_odd(ell: Optional[int], least: int) -> None:
     """The one rule for a template parameter: an odd int >= least. Any other
     type, bool and float included, is rejected before it reaches range()."""
@@ -98,6 +105,7 @@ __all__ = [
     "H1",
     "HL",
     "template_pairs",
+    "template_pair_count",
     "template_cycle_form",
     "build_h0",
     "build_h1",

@@ -9,7 +9,7 @@ import gc
 import itertools
 import time
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -1304,6 +1304,53 @@ def spine_graph_st(draw, max_n=12):
     flips = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=n))
     phi = draw(st.permutations(range(n)))
     return relabel(apply_switching(g, Switching(flips)), phi)
+
+
+# The enumerator as it was before its canonicity test used per-byte image
+# tables and its graphs shared edge records, copied verbatim: the chord
+# masks are tested by summing each chord's image bit, and every graph gets
+# fresh edge tuples.
+def ref_enum_targets(kind: str, max_n: int) -> Iterator[SignedGraph]:
+    """Canonical separable targets: one representative per relabeling and
+    switching class, smallest sizes first."""
+    if kind == "path":
+        if max_n > 14:
+            raise ValueError("path enumeration capped at 14 vertices")
+        for n in range(1, max_n + 1):
+            chords = [(i, j) for i in range(n) for j in range(i + 3, n, 2)]
+            reflect = [n - 1 - i for i in range(n)]
+            yield from _ref_classes(n, chords, [reflect], [[(i, i + 1, BLUE) for i in range(n - 1)]])
+    elif kind == "cycle":
+        if max_n > 12:
+            raise ValueError("cycle enumeration capped at 12 vertices")
+        for n in range(4, max_n + 1, 2):
+            # Chords join ring positions an odd distance of 3 to n - 3 apart.
+            chords = [(i, j) for i in range(n) for j in range(i + 3, min(n, i + n - 2), 2)]
+            dihedral = [[(r + s * i) % n for i in range(n)] for r in range(n) for s in (1, -1)]
+            ring = [(i, i + 1, BLUE) for i in range(n - 1)]
+            yield from _ref_classes(n, chords, dihedral, [ring + [(0, n - 1, c)] for c in (BLUE, RED)])
+    else:
+        raise ValueError("unknown kind %r" % kind)
+
+
+def _ref_classes(
+    n: int, chords: List[Tuple[int, int]], perms: List[List[int]], bases: List[list]
+) -> Iterator[SignedGraph]:
+    """For each set of bicoloured chords, as a mask over chords, that no
+    vertex permutation in perms maps to a smaller mask: one graph per base
+    edge list, in mask order. Base edges and chords are pairs u < v, none
+    repeated, so the graphs go through the trusted constructor."""
+    index = {ch: k for k, ch in enumerate(chords)}
+    images = [[1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in chords] for p in perms]
+    keys = [i * n + j for i, j in chords]
+    keyed_bases = [{u * n + v: c for u, v, c in base} for base in bases]
+    for mask in range(1 << len(chords)):
+        ks = list(_bits(mask))
+        if any(sum(image[k] for k in ks) < mask for image in images):
+            continue
+        extra = {keys[k]: BICOLOURED for k in ks}
+        for base in keyed_bases:
+            yield SignedGraph._checked(n, {**base, **extra})
 
 
 def took(f):

@@ -37,7 +37,7 @@ from sephom import (
 from sephom.classify import NP_COMPLETE, POLYNOMIAL, Verdict, classify_cycle, classify_path
 from sephom.ordering import ordering_for_cycle_target, verify_min_ordering, verify_special
 from sephom.separable import NOT_SEGMENTED, cycle_form, path_form, segmented_form
-from sephom.targets import H0, H1, HL, template_cycle_form
+from sephom.targets import H0, H1, HL, template_cycle_form, template_pair_count, template_pairs
 from sephom.witness import Chain, InvertiblePair, verify_chain, verify_invertible_pair
 
 
@@ -235,6 +235,23 @@ def test_verdict_invariant_under_switching_and_relabeling(seed):
     if w.complexity == POLYNOMIAL and w.reason.startswith("Segmented"):
         assert verify_min_ordering(shuffled, w.ordering) is None
         assert verify_special(shuffled, w.ordering) is None
+
+
+def test_template_pair_count_is_the_number_of_pairs():
+    for ell in range(3, 102):
+        assert template_pair_count(ell) == len(template_pairs(ell))
+
+
+def test_chordless_cycles_never_build_the_template(monkeypatch):
+    # Hl(n - 3) has chords, so a chordless balanced cycle is decided
+    # without its n^2 / 8 template pairs.
+    def forbidden(kind, ell=None):
+        raise AssertionError("template built for a chordless cycle")
+
+    monkeypatch.setattr(importlib.import_module("sephom.targets"), "template_cycle_form", forbidden)
+    for n in range(6, 31, 2):
+        g = SignedGraph(n, [(i, (i + 1) % n, BLUE) for i in range(n)])
+        assert classify(g).reason == "NoTemplateMatch"
 
 
 def test_template_cycle_forms_match_the_built_graphs():

@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from helpers import ref_enum_targets
 from sephom import (
     BLUE,
     SignedGraph,
@@ -22,10 +24,10 @@ from sephom import (
     verdict_dict,
 )
 from sephom import hardness
-from sephom.cli import run
+from sephom.cli import _canonical, run
 from sephom.files import parse_instance, serialize_graph, serialize_instance
 from sephom.solver import Instance, Solution, check_solution
-from sephom.sgcore import BICOLOURED, Switching
+from sephom.sgcore import BICOLOURED, Switching, _bits
 
 P8_BIC = [(0, 3), (0, 5), (0, 7), (2, 5), (2, 7), (4, 7)]
 
@@ -96,6 +98,54 @@ def test_enum_targets_are_the_graphs_their_edges_give():
     assert digest.hexdigest() == (
         "7c5cf0057df2b590d586f728ab11cfc45e0c25b0675d22e27821529abfea6cb4"
     )
+
+
+def test_enum_targets_match_the_reference_enumerator():
+    # The same graphs in the same order as the chord-sum enumerator, and
+    # all graphs with n vertices hold one record per base edge and chord.
+    for kind in ("path", "cycle"):
+        graphs = list(enum_targets(kind, 10))
+        assert [(g.n, g.edges) for g in graphs] == [
+            (g.n, g.edges) for g in ref_enum_targets(kind, 10)
+        ]
+        for n in range(1, 11):
+            records = {id(e) for g in graphs if g.n == n for e in g.edges}
+            # A cycle's base has two closing edges, one blue and one red.
+            base = n + 1 if kind == "cycle" else n - 1
+            assert len(records) <= base + len(_chords(n, kind))
+
+
+def _chords(n, kind):
+    if kind == "path":
+        return [(i, j) for i in range(n) for j in range(i + 3, n, 2)]
+    return [(i, j) for i in range(n) for j in range(i + 3, min(n, i + n - 2), 2)]
+
+
+def _chord_images(n, kind):
+    chords = _chords(n, kind)
+    if kind == "path":
+        perms = [[n - 1 - i for i in range(n)]]
+    else:
+        perms = [[(r + s * i) % n for i in range(n)] for r in range(n) for s in (1, -1)]
+    index = {ch: k for k, ch in enumerate(chords)}
+    return len(chords), [
+        [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in chords] for p in perms
+    ]
+
+
+def test_byte_tables_agree_with_the_chord_sums():
+    # 36 chords on a 14-vertex path fill five bytes of a mask, the last in
+    # part; 24 on a 12-cycle fill three, under 24 permutations.
+    rng = random.Random(29)
+    for kind, n in (("path", 14), ("cycle", 12)):
+        m, images = _chord_images(n, kind)
+        masks = [rng.getrandbits(m) for _ in range(10000)]
+        kept = [
+            mask for mask in masks
+            if not any(sum(image[k] for k in _bits(mask)) < mask for image in images)
+        ]
+        assert 0 < len(kept) < len(masks)
+        assert list(_canonical(masks, m, images)) == kept
 
 
 def test_enum_validation():

@@ -100,6 +100,20 @@ def test_the_colour_map_is_built_from_the_edges_on_first_read(g):
         assert graph._colour == edges
 
 
+@given(signed_graph_st())
+@settings(max_examples=100)
+def test_the_hash_is_kept_and_equal_graphs_hash_alike(g):
+    graphs = (g, parse_graph(serialize_graph(g)), SignedGraph(g.n, g.edges[::-1]))
+    for graph in graphs:
+        assert "_hash" not in vars(graph)
+    first = hash(g)
+    assert first == hash((g.n, g.edges)) and vars(g)["_hash"] == first
+    for graph in graphs:
+        assert hash(graph) == first
+        graph.adj_mask, graph.bic_mask, graph._colour
+        assert hash(graph) == first and graph == g
+
+
 def test_accessors():
     g = build_h1()
     assert g.n == 6
