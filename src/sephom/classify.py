@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .sgcore import SignedGraph, _inverse, bipartition
+from .sgcore import SignedGraph, Switching, _inverse, bipartition
 from . import ordering as ordering_mod
 from . import separable
 from . import targets
@@ -19,12 +19,16 @@ NP_COMPLETE = "NPComplete"
 @dataclass(frozen=True)
 class Verdict:
     """A dichotomy verdict. On a template match the ordering is the
-    template's own, pulled back through the alignment onto the template."""
+    template's own, pulled back through the alignment onto the template.
+    A P verdict on a path or a "+" cycle also carries the switching that
+    makes every unicoloured edge blue, read off the spanning walk; it takes
+    no part in equality."""
 
     complexity: str
     reason: str
     witness: object = None
     ordering: Optional[Ordering] = None
+    switching: Optional[Switching] = field(default=None, compare=False, repr=False)
 
 
 def _witness(g: SignedGraph):
@@ -38,9 +42,10 @@ def _witness(g: SignedGraph):
 
 def classify_path(g: SignedGraph) -> Verdict:
     """Dichotomy verdict for a path-separable target: classify's."""
-    if separable.path_form(g) is None:
+    f = separable._form(g)
+    if not isinstance(f, separable.PathForm):
         raise ValueError("unicoloured edges do not form a spanning path")
-    return classify(g)
+    return _classify(g, f)
 
 
 def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
@@ -53,9 +58,10 @@ def _pull_back(o: Ordering, phi: Tuple[int, ...]) -> Ordering:
 
 def classify_cycle(g: SignedGraph) -> Verdict:
     """Dichotomy verdict for a cycle-separable target: classify's."""
-    if separable.cycle_form(g) is None:
+    f = separable._form(g)
+    if not isinstance(f, separable.CycleForm):
         raise ValueError("unicoloured edges do not form a spanning cycle")
-    return classify(g)
+    return _classify(g, f)
 
 
 def _chord_degrees(c: separable.CycleForm) -> List[int]:
@@ -114,7 +120,8 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
         if phi is None:
             continue
         o = ordering_mod.ordering_for_cycle_target(kind, ell)
-        return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi))
+        t = separable._semi_balancing(c) if c.cycle_sign == "+" else None
+        return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi), switching=t)
     return Verdict(NP_COMPLETE, "NoTemplateMatch", witness=_witness(g))
 
 
@@ -124,7 +131,11 @@ def classify(g: SignedGraph) -> Verdict:
     g exactly when every bicoloured pair of positions is an odd distance
     apart and a cycle has even length. Only a graph with neither form takes
     the bipartition walk, to tell NonBipartite from a ValueError."""
-    f = separable._form(g)
+    return _classify(g, separable._form(g))
+
+
+def _classify(g: SignedGraph, f) -> Verdict:
+    """classify's verdict on g, whose form _form gave as f."""
     if f is None:
         if bipartition(g) is None:
             return Verdict(NP_COMPLETE, "NonBipartite")
@@ -140,6 +151,7 @@ def classify(g: SignedGraph) -> Verdict:
             POLYNOMIAL,
             "Segmented(%s)" % form.kind,
             ordering=ordering_mod.ordering_for_segmented(f, form),
+            switching=separable._semi_balancing(f),
         )
     return Verdict(NP_COMPLETE, "NotSegmented", witness=_witness(g))
 

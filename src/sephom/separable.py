@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import xor
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .sgcore import BICOLOURED, RED, SignedGraph
+from .sgcore import BICOLOURED, RED, SignedGraph, Switching
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -20,21 +22,25 @@ NOT_SEGMENTED = "NotSegmented"
 @dataclass(frozen=True)
 class PathForm:
     """Spanning unicoloured path: vertex order and the bicoloured edges as
-    position pairs (a, b) with a < b. A switching making the path blue comes
-    from is_semi_balanced, which a spanning path always is."""
+    position pairs (a, b) with a < b. red holds the red steps, keyed
+    u * n + v with u < v, from which _semi_balancing reads a switching that
+    makes the path blue; it takes no part in equality."""
 
     order: Tuple[int, ...]
     bic: FrozenSet[Tuple[int, int]]
+    red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CycleForm:
     """Spanning unicoloured cycle: cyclic vertex order, the switching-invariant
-    cycle sign, and bicoloured edges as position pairs (a, b) with a < b."""
+    cycle sign, and bicoloured edges as position pairs (a, b) with a < b.
+    red holds its red steps as PathForm's does."""
 
     order: Tuple[int, ...]
     cycle_sign: str
     bic: FrozenSet[Tuple[int, int]]
+    red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,27 +71,31 @@ class SegmentedForm:
 def _trace(uni: List[List[int]], first: int) -> Tuple[int, ...]:
     """The walk along uni from first towards its least neighbour that never
     steps straight back, up to a vertex with no other neighbour or back at
-    first."""
-    order = [first, min(uni[first])]
-    while True:
-        nxt = [w for w in uni[order[-1]] if w != order[-2]]
-        if not nxt or nxt[0] == first:
-            return tuple(order)
-        order.append(nxt[0])
+    first. Every vertex has one or two neighbours in uni."""
+    order = [first]
+    prev, v = first, min(uni[first])
+    while v != first:
+        order.append(v)
+        if len(uni[v]) == 1:
+            break
+        a, b = uni[v]
+        prev, v = v, b if a == prev else a
+    return tuple(order)
 
 
 def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
     """The PathForm or CycleForm of g, or None, from one pass over g.edges
-    that collects the unicoloured neighbours, the red parity and the
+    that collects the unicoloured neighbours, the red edges and the
     bicoloured pairs. Two ends of degree 1 and the rest of degree 2 make a
     path, walked from the least end; a 2-regular graph makes a cycle, walked
     from 0. Either spans g only when its walk reaches every vertex, and then
-    a cycle holds every unicoloured edge, so its sign is the red parity."""
+    a cycle holds every unicoloured edge, so its sign is the red parity. The
+    red edges, keyed u * n + v, go on the form for _semi_balancing."""
     n = g.n
     if n < 2:
         return PathForm((0,), frozenset()) if n else None
     uni: List[List[int]] = [[] for _ in range(n)]
-    red = 0
+    red = []
     pairs = []
     for u, v, c in g.edges:
         if c is BICOLOURED:
@@ -93,21 +103,33 @@ def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
         else:
             uni[u].append(v)
             uni[v].append(u)
-            red ^= c is RED
+            if c is RED:
+                red.append(u * n + v)
     ends = [v for v in range(n) if len(uni[v]) != 2]
     if ends and [len(uni[v]) for v in ends] != [1, 1]:
         return None
     order = _trace(uni, ends[0] if ends else 0)
     if len(order) != n:
         return None
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     bic = set()
     for u, v in pairs:
         a, b = pos[u], pos[v]
         bic.add((a, b) if a < b else (b, a))
     if ends:
-        return PathForm(order, frozenset(bic))
-    return CycleForm(order, "-" if red else "+", frozenset(bic))
+        return PathForm(order, frozenset(bic), frozenset(red))
+    return CycleForm(order, "-" if len(red) & 1 else "+", frozenset(bic), frozenset(red))
+
+
+def _semi_balancing(f: Union[PathForm, CycleForm]) -> Switching:
+    """The switching that makes every unicoloured edge of f's graph blue:
+    the prefix parity of the red steps along f.order, whose first vertex
+    stays. f is a path or a "+" cycle, whose closing step that parity fits."""
+    order, n = f.order, len(f.order)
+    steps = [(u * n + v if u < v else v * n + u) in f.red for u, v in zip(order, order[1:])]
+    return Switching(compress(order[1:], accumulate(steps, xor)))
 
 
 def path_form(g: SignedGraph) -> Optional[PathForm]:

@@ -72,15 +72,16 @@ class SignedGraph:
     in sorted order; the builders key an edge u-v as the int u * n + v.
 
     ``adj_mask`` and ``bic_mask`` (per-vertex neighbour bitmasks, over all
-    edges and over bicoloured ones), ``_colour`` (the (u, v) to colour
-    map behind ``colour`` and ``adjacent``) and ``_hash`` are built on first
-    read and kept: the targets' verifiers and witness searches read them,
-    while an instance graph, which the solvers read only through ``edges``,
-    never pays their quadratic bit work or a second copy of its edges.
+    edges and over bicoloured ones; the first read of either builds both in
+    one pass), ``_colour`` (the (u, v) to colour map behind ``colour`` and
+    ``adjacent``) and ``_hash`` are built on first read and kept: the
+    targets' verifiers and witness searches read them, while an instance
+    graph, which the solvers read only through ``edges``, never pays their
+    quadratic bit work or a second copy of its edges.
     """
 
-    adj_mask = _BuiltOnRead(lambda g: _masks(g.n, g.edges))
-    bic_mask = _BuiltOnRead(lambda g: _masks(g.n, [e for e in g.edges if e[2] is BICOLOURED]))
+    adj_mask = _BuiltOnRead(lambda g: _store_masks(g)[0])
+    bic_mask = _BuiltOnRead(lambda g: _store_masks(g)[1])
     _colour = _BuiltOnRead(lambda g: {(u, v): c for u, v, c in g.edges})
     _hash = _BuiltOnRead(lambda g: hash((g.n, g.edges)))
 
@@ -170,12 +171,25 @@ def _probe_count(n: int) -> None:
         raise MemoryError(f"vertex count {n} too large") from None
 
 
-def _masks(n: int, edges: Iterable[Tuple[int, int, EdgeColour]]) -> List[int]:
-    """Per-vertex neighbour bitmasks over the given edges."""
-    rows = [0] * n
-    for u, v, _ in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+def _masks(n: int, edges: Iterable[Tuple[int, int, EdgeColour]]) -> Tuple[List[int], List[int]]:
+    """Per-vertex neighbour bitmasks over the given edges and over their
+    bicoloured ones, from one pass."""
+    adj = [0] * n
+    bic = [0] * n
+    for u, v, c in edges:
+        bu = 1 << u
+        bv = 1 << v
+        adj[u] |= bv
+        adj[v] |= bu
+        if c is BICOLOURED:
+            bic[u] |= bv
+            bic[v] |= bu
+    return adj, bic
+
+
+def _store_masks(g: SignedGraph) -> Tuple[List[int], List[int]]:
+    """Build g's adj_mask and bic_mask together and store both on g."""
+    g.adj_mask, g.bic_mask = rows = _masks(g.n, g.edges)
     return rows
 
 

@@ -518,7 +518,8 @@ def _solve_h1_component(
 
 
 def solve_ordered(
-    inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None
+    inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None,
+    *, switching: Optional[Switching] = None,
 ) -> Optional[Solution]:
     """Exact decision for a semi-balanced target with a special min
     ordering o, without search: per instance component and side assignment,
@@ -529,11 +530,15 @@ def solve_ordered(
 
     o is checked as verify_min_ordering and verify_special check it, from
     the rank-row table the solve then reads: O(n + m) for the table, then
-    O(|W|) and O(n) big-int operations for the two scans."""
+    O(|W|) and O(n) big-int operations for the two scans. Then
+    is_semi_balanced checks h and finds the switching the finish reads,
+    unless switching, one that makes every unicoloured edge of h blue, as a
+    P verdict carries, is given; it is trusted. Either of a connected h's
+    two such switchings gives the same solution."""
     order, _, uni, bic = table = _rank_rows(h, o)
     if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
-    t = is_semi_balanced(h)
+    t = is_semi_balanced(h) if switching is None else switching
     if t is None:
         raise ValueError("target is not semi-balanced")
     if stats is not None:
@@ -623,9 +628,10 @@ def solve(
     target, or a route read off the target's verdict, from one classify
     call: h1 when the verdict matches the 6-vertex unbalanced cycle, over
     the places of the verdict's ordering, else ordered by the verdict's
-    special min ordering. "auto" takes that route; "h1" and "ordered" only
-    check that it is the one they name. Raises ValueError when the route
-    does not apply to the target, or when a solution fails check_solution."""
+    special min ordering and, where it carries one, its switching. "auto"
+    takes that route; "h1" and "ordered" only check that it is the one they
+    name. Raises ValueError when the route does not apply to the target, or
+    when a solution fails check_solution."""
     if stats is not None:
         stats.setdefault("backtracks", 0)
     if alg == "oracle":
@@ -643,7 +649,7 @@ def solve(
                 "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
             )
         else:
-            sol = solve_ordered(inst, target, verdict.ordering, stats)
+            sol = solve_ordered(inst, target, verdict.ordering, stats, switching=verdict.switching)
     else:
         raise ValueError("unknown alg %r" % alg)
     if sol is not None:

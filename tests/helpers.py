@@ -7,6 +7,7 @@ test sizes fast. The library must agree with these on every input tried.
 
 import gc
 import itertools
+import random
 import time
 from collections import deque
 from typing import Iterator, List, Optional, Tuple
@@ -22,6 +23,8 @@ from sephom import (
     Switching,
     apply_switching,
     build_hl,
+    build_reduction_target,
+    enum_targets,
     relabel,
 )
 from sephom.files import COLOUR_SYMBOLS, ParseError
@@ -1367,3 +1370,120 @@ def took(f):
     finally:
         if enabled:
             gc.enable()
+
+
+# separable._form and the two-pass mask builder as they were before the
+# trace unpacked each vertex's neighbours, positions went in a list and one
+# pass built both masks, copied verbatim; _ref_trace above is the walk that
+# _form then took, separable._trace, line for line.
+
+
+def ref_form(g):
+    """The PathForm or CycleForm of g, or None, from one pass over g.edges
+    that collects the unicoloured neighbours, the red parity and the
+    bicoloured pairs."""
+    n = g.n
+    if n < 2:
+        return PathForm((0,), frozenset()) if n else None
+    uni: List[List[int]] = [[] for _ in range(n)]
+    red = 0
+    pairs = []
+    for u, v, c in g.edges:
+        if c is BICOLOURED:
+            pairs.append((u, v))
+        else:
+            uni[u].append(v)
+            uni[v].append(u)
+            red ^= c is RED
+    ends = [v for v in range(n) if len(uni[v]) != 2]
+    if ends and [len(uni[v]) for v in ends] != [1, 1]:
+        return None
+    order = _ref_trace(uni, ends[0] if ends else 0)
+    if len(order) != n:
+        return None
+    pos = {v: i for i, v in enumerate(order)}
+    bic = set()
+    for u, v in pairs:
+        a, b = pos[u], pos[v]
+        bic.add((a, b) if a < b else (b, a))
+    if ends:
+        return PathForm(order, frozenset(bic))
+    return CycleForm(order, "-" if red else "+", frozenset(bic))
+
+
+def _ref_masks(n, edges):
+    """Per-vertex neighbour bitmasks over the given edges."""
+    rows = [0] * n
+    for u, v, _ in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def ref_mask_rows(g):
+    """g's adj_mask and bic_mask rows, each from its own pass."""
+    return _ref_masks(g.n, g.edges), _ref_masks(g.n, [e for e in g.edges if e[2] is BICOLOURED])
+
+
+def quick_disguise(rng, g):
+    """g under a random relabelling and switching, in one construction."""
+    phi = list(range(g.n))
+    rng.shuffle(phi)
+    flip = [rng.randrange(2) for _ in range(g.n)]
+    swap = {BLUE: RED, RED: BLUE, BICOLOURED: BICOLOURED}
+    return SignedGraph(g.n, [
+        (phi[u], phi[v], swap[c] if flip[u] != flip[v] else c) for u, v, c in g.edges
+    ])
+
+
+@st.composite
+def form_edge_case_st(draw):
+    """Hypothesis strategy: graphs that have no separable form or sit at its
+    edges: fewer than two vertices, a vertex of unicoloured degree 3, a path
+    plus a disjoint cycle, two disjoint cycles, or no unicoloured edge at
+    all; random bicoloured edges, then switched and relabelled."""
+    kind = draw(st.sampled_from(("tiny", "degree3", "path+cycle", "two cycles", "no uni")))
+    spines = []
+    if kind == "tiny":
+        n = draw(st.integers(min_value=0, max_value=1))
+    elif kind == "degree3":
+        n = draw(st.integers(min_value=4, max_value=10))
+        spines.append([(i, i + 1) for i in range(n - 1)])
+        spines.append([(1, draw(st.integers(min_value=3, max_value=n - 1)))])
+    elif kind == "no uni":
+        n = draw(st.integers(min_value=2, max_value=8))
+    else:
+        a = draw(st.integers(min_value=1 if kind == "path+cycle" else 3, max_value=6))
+        b = draw(st.integers(min_value=3, max_value=6))
+        n = a + b
+        first = [(i, i + 1) for i in range(a - 1)]
+        if kind == "two cycles":
+            first.append((0, a - 1))
+        spines.append(first)
+        spines.append([(a + i, a + i + 1) for i in range(b - 1)] + [(a, n - 1)])
+    edges = {}
+    for spine in spines:
+        for u, v in spine:
+            edges[min(u, v), max(u, v)] = draw(st.sampled_from((BLUE, RED)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and draw(st.integers(min_value=0, max_value=3)) == 0:
+                edges[u, v] = BICOLOURED
+    g = SignedGraph(n, [(u, v, c) for (u, v), c in edges.items()])
+    flips = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=n))
+    phi = draw(st.permutations(range(n)))
+    return relabel(apply_switching(g, Switching(flips)), phi)
+
+
+def form_sweep(seed):
+    """Every enum_targets path and cycle with n <= 10, then Hl(61), the
+    64-vertex reduction target and eight 64-vertex segmented paths, each
+    under a disguise seeded from seed."""
+    rng = random.Random(seed)
+    for kind in ("path", "cycle"):
+        for g in enum_targets(kind, 10):
+            yield quick_disguise(rng, g)
+    yield quick_disguise(rng, build_hl(61))
+    yield quick_disguise(rng, build_reduction_target(61))
+    for _ in range(8):
+        yield quick_disguise(rng, random_segmented_path(rng, 64))

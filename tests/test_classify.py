@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_special_min_ordering,
+    quick_disguise,
     random_path_target,
     random_relabel,
+    random_segmented_path,
     random_switching,
     ref_bipartition,
     ref_cycle_form,
@@ -339,3 +341,39 @@ def test_special_min_orderings_exist_exactly_on_the_polynomial_side():
         POLYNOMIAL,
         NP_COMPLETE,
     ]
+
+
+def test_p_verdicts_on_paths_and_plus_cycles_carry_a_semi_balancing_switching():
+    rng = random.Random(30)
+    shapes = list(enum_targets("path", 10)) + list(enum_targets("cycle", 10))
+    shapes += [build_h0(), build_hl(5), build_hl(61)]
+    shapes += [random_segmented_path(rng, n) for n in (16, 40, 64) for _ in range(4)]
+    carried = 0
+    for g in [quick_disguise(rng, g) for g in shapes]:
+        v = classify(g)
+        if v.complexity == POLYNOMIAL and v.reason != "MatchesH1":
+            assert RED not in {c for _, _, c in apply_switching(g, v.switching).edges}
+            assert v.switching.flipped <= set(range(g.n))
+            carried += 1
+        else:
+            assert v.switching is None
+    assert carried > 100
+
+
+def test_np_verdicts_and_matches_h1_carry_no_switching():
+    rng = random.Random(31)
+    for g in (build_h1(), build_reduction_target(5), blue_path(6, [(0, 3), (1, 4)]),
+              blue_path(3, [(0, 2)])):
+        g = quick_disguise(rng, g)
+        assert classify(g).switching is None
+    assert classify(build_h1()).reason == "MatchesH1"
+
+
+def test_the_switching_takes_no_part_in_equality_repr_or_the_verdict_dict():
+    g = quick_disguise(random.Random(32), build_hl(7))
+    v = classify(g)
+    bare = Verdict(v.complexity, v.reason, v.witness, v.ordering)
+    assert v.switching is not None and bare.switching is None
+    assert v == bare and hash(v) == hash(bare) and repr(v) == repr(bare)
+    assert verdict_dict(v) == verdict_dict(bare)
+    assert "switching" not in verdict_dict(v)

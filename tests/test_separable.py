@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_path_target, random_switching, ref_leaning, ref_matching_kinds
+from helpers import (
+    form_edge_case_st,
+    form_sweep,
+    random_path_target,
+    random_switching,
+    ref_form,
+    ref_leaning,
+    ref_matching_kinds,
+    spine_graph_st,
+)
 from sephom import (
     BICOLOURED,
     BLUE,
@@ -262,3 +271,30 @@ def test_block_closures_match_the_segment_closures():
             assert form == _precedence_pick(ref)
             kinds.add(form.kind)
     assert len(kinds) == 5
+
+
+def _red_keys(g):
+    return {u * g.n + v for u, v, c in g.edges if c is RED}
+
+
+def test_forms_match_the_two_pass_reference_on_the_sweep():
+    # Equality compares the class, order, sign and bic; the red steps,
+    # which take no part in it, must be the red edges a form spans.
+    for seed in (3, 4):
+        count = 0
+        for g in form_sweep(seed):
+            f = separable._form(g)
+            assert f == ref_form(g)
+            assert f is not None and f.red == _red_keys(g)
+            count += 1
+        assert count == 39_542 + 10
+
+
+@given(st.one_of(form_edge_case_st(), spine_graph_st()))
+@settings(max_examples=300)
+def test_forms_match_the_two_pass_reference_at_the_edges(g):
+    f = separable._form(g)
+    assert f == ref_form(g)
+    if f is not None:
+        assert f.red == _red_keys(g)
+        assert repr(f) == repr(ref_form(g))

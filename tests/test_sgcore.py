@@ -10,12 +10,15 @@ from helpers import (
     brute_anti_balanced,
     brute_balanced,
     brute_semi_balanced,
+    form_edge_case_st,
+    form_sweep,
     random_bipartite_signed_graph,
     random_relabel,
     random_signed_graph,
     random_switching,
     ref_bipartition,
     ref_components,
+    ref_mask_rows,
     ref_matching_switching,
     ref_uniform_switching,
     signed_graph_st,
@@ -39,6 +42,7 @@ from sephom import (
     switching_equivalent,
     walk_sign,
 )
+from sephom import sgcore
 from sephom.files import parse_graph, serialize_graph
 from sephom.sgcore import _parity_lists, _parity_walk
 
@@ -376,3 +380,29 @@ def test_build_h0_shape():
     assert g.n == 4
     assert all(c is BLUE for _, _, c in g.edges)
     assert len(g.edges) == 4
+
+
+def test_one_pass_masks_match_the_two_pass_reference_on_the_sweep():
+    for g in form_sweep(5):
+        assert sgcore._masks(g.n, g.edges) == ref_mask_rows(g)
+
+
+@given(st.one_of(form_edge_case_st(), signed_graph_st()))
+@settings(max_examples=200)
+def test_one_pass_masks_match_the_two_pass_reference_at_the_edges(g):
+    assert sgcore._masks(g.n, g.edges) == ref_mask_rows(g)
+
+
+def test_either_mask_read_first_builds_both_in_one_call(monkeypatch):
+    calls = []
+    build = sgcore._masks
+    monkeypatch.setattr(sgcore, "_masks", lambda n, edges: calls.append(n) or build(n, edges))
+    for first, second in (("adj_mask", "bic_mask"), ("bic_mask", "adj_mask")):
+        g = build_hl(7)
+        calls.clear()
+        rows = getattr(g, first), getattr(g, second)
+        assert calls == [g.n]
+        assert getattr(g, first) is rows[0] and getattr(g, second) is rows[1]
+        adj, bic = ref_mask_rows(g)
+        assert (g.adj_mask, g.bic_mask) == (adj, bic)
+        assert calls == [g.n]

@@ -1079,3 +1079,30 @@ def test_check_solution_matches_the_reference_checker(seed):
     ours = check_solution(inst, h, sol)
     reference = solution_errors(inst, h, mapping, flipped)
     assert (ours == []) == (reference == [])
+
+
+def test_solve_reads_the_verdicts_switching_and_runs_no_balance_walk(monkeypatch):
+    calls = []
+    walk = solver.is_semi_balanced
+    monkeypatch.setattr(solver, "is_semi_balanced", lambda g: calls.append(g.n) or walk(g))
+    rng = random.Random(30)
+    targets_ = [disguise(rng, random_segmented_path(rng, n)) for n in (8, 16, 40)]
+    targets_ += [disguise(rng, build_hl(ell)) for ell in (3, 5, 9)] + [disguise(rng, build_h0())]
+    for h in targets_:
+        for inst in (planted_instance(rng, h, 30, 6, 2), random_instance(rng, 8, h)):
+            for alg in ("auto", "ordered"):
+                sol = solve(h, inst, alg)
+                # Either switching of the connected target gives the same
+                # solution, as each walk's root has switch bit 0.
+                assert sol == solve_ordered(inst, h, classify(h).ordering)
+                assert calls == [h.n]
+                calls.clear()
+
+
+def test_solve_ordered_called_directly_still_checks_the_target():
+    h = build_h1()
+    inst = Instance(SignedGraph(1, []), [[0]])
+    with pytest.raises(ValueError, match="target is not semi-balanced"):
+        solve_ordered(inst, h, ordering_for_cycle_target(targets.H1))
+    with pytest.raises(ValueError, match="target is not semi-balanced"):
+        solve(h, inst, "ordered")
