@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .sgcore import SignedGraph, Switching, _inverse, bipartition
 from . import ordering as ordering_mod
@@ -72,36 +73,71 @@ def _chord_degrees(c: separable.CycleForm) -> List[int]:
     return deg
 
 
-def _align(c: separable.CycleForm, t: separable.CycleForm) -> Optional[Tuple[int, ...]]:
-    """The least vertex bijection phi that maps the cycle of c onto the
-    cycle of t, by one of the 2n rotations and reflections, and the chords
-    of c onto those of t; absent when the sizes, signs or chords never
-    agree.
-
-    Switching fixes bicoloured edges and, on a spanning cycle, changes no
-    sign, so these are exactly the bijections switching_equivalent accepts,
-    and its search returns the least of them."""
+def _alignments(c: separable.CycleForm, t: separable.CycleForm,
+                twice: List[int]) -> Iterator[List[int]]:
+    """The position maps img, in scan order, that send position i of c to
+    position img[i] of t by one of the 2n rotations and reflections and the
+    chords of c onto those of t. twice is t's chord-degree sequence written
+    out twice, which rules maps out before any chord is looked up. The
+    caller has matched the sizes, signs and chord counts."""
     n = len(c.order)
-    if (n, c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
-        return None
     deg = _chord_degrees(c)
     rev = deg[::-1]
-    twice = _chord_degrees(t) * 2
-    chords = t.bic | {(b, a) for a, b in t.bic}
-    best = None
+    bic = t.bic
     for s in range(n):
         # Position i of c goes to position s + i, or s - i, of t (mod n).
         for step, seq, at in ((1, deg, s), (-1, rev, s + 1)):
             if twice[at : at + n] != seq:
                 continue
             img = [(s + step * i) % n for i in range(n)]
-            if all((img[a], img[b]) in chords for a, b in c.bic):
-                phi = [0] * n
-                for i, v in enumerate(c.order):
-                    phi[v] = t.order[img[i]]
-                if best is None or tuple(phi) < best:
-                    best = tuple(phi)
-    return best
+            for a, b in c.bic:
+                x, y = img[a], img[b]
+                if ((x, y) if x < y else (y, x)) not in bic:
+                    break
+            else:
+                yield img
+
+
+# More than the templates a long run meets: H0, H1 and Hl(ell) for the
+# thirty or so ell up to 61.
+_TEMPLATES = 64
+
+
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _template(kind: str, ell: Optional[int]):
+    """Template kind (ell) as matching needs it, built once per (kind, ell):
+    its CycleForm, its chord-degree sequence written out twice, its
+    self-alignments (the maps of _alignments from the template onto itself,
+    each kept as the template vertex that each position goes to) and its
+    ordering. If img and img2 both align a target with the template, img2
+    after the inverse of img maps the template's cycle and chords onto
+    themselves, so one alignment and the self-alignments give them all."""
+    t = targets.template_cycle_form(kind, ell)
+    twice = _chord_degrees(t) * 2
+    selves = tuple(tuple(t.order[i] for i in sigma) for sigma in _alignments(t, t, twice))
+    return t, twice, selves, ordering_mod.ordering_for_cycle_target(kind, ell)
+
+
+def _align(c: separable.CycleForm, kind: str, ell: Optional[int]) -> Optional[Tuple[int, ...]]:
+    """The least vertex bijection phi that maps the cycle of c onto the
+    cycle of template kind (ell), by one of the 2n rotations and
+    reflections, and the chords of c onto those of the template; absent when
+    the sizes, signs or chords never agree. The scan stops at the first
+    alignment whose chords all land: every other one is it followed by a
+    self-alignment of the template (see _template), so phi is the least of
+    those compositions.
+
+    Switching fixes bicoloured edges and, on a spanning cycle, changes no
+    sign, so these are exactly the bijections switching_equivalent accepts,
+    and its search returns the least of them."""
+    t, twice, selves, _ = _template(kind, ell)
+    if (len(c.order), c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+        return None
+    img = next(_alignments(c, t, twice), None)
+    if img is None:
+        return None
+    where = [img[i] for i in _inverse(c.order)]
+    return min(tuple(map(at.__getitem__, where)) for at in selves)
 
 
 def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
@@ -116,10 +152,10 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
     if n >= 6 and n % 2 == 0 and c.cycle_sign == "+" and len(c.bic) == hl_chords:
         candidates.append((targets.HL, "MatchesHl(%d)" % (n - 3), n - 3))
     for kind, reason, ell in candidates:
-        phi = _align(c, targets.template_cycle_form(kind, ell))
+        phi = _align(c, kind, ell)
         if phi is None:
             continue
-        o = ordering_mod.ordering_for_cycle_target(kind, ell)
+        o = _template(kind, ell)[3]
         t = separable._semi_balancing(c) if c.cycle_sign == "+" else None
         return Verdict(POLYNOMIAL, reason, ordering=_pull_back(o, phi), switching=t)
     return Verdict(NP_COMPLETE, "NoTemplateMatch", witness=_witness(g))

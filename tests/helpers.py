@@ -607,6 +607,43 @@ def ref_cycle_form(g):
     return CycleForm(order, "-" if bit else "+", _ref_bic_positions(g, order))
 
 
+def _ref_chord_degrees(c):
+    deg = [0] * len(c.order)
+    for a, b in c.bic:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def ref_align(c, t):
+    """The least vertex bijection phi that maps the cycle of c onto the
+    cycle of t, by one of the 2n rotations and reflections, and the chords
+    of c onto those of t; absent when the sizes, signs or chords never
+    agree. The full scan: every rotation and reflection that passes the
+    chord-degree filter is checked chord by chord."""
+    n = len(c.order)
+    if (n, c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+        return None
+    deg = _ref_chord_degrees(c)
+    rev = deg[::-1]
+    twice = _ref_chord_degrees(t) * 2
+    chords = t.bic | {(b, a) for a, b in t.bic}
+    best = None
+    for s in range(n):
+        # Position i of c goes to position s + i, or s - i, of t (mod n).
+        for step, seq, at in ((1, deg, s), (-1, rev, s + 1)):
+            if twice[at : at + n] != seq:
+                continue
+            img = [(s + step * i) % n for i in range(n)]
+            if all((img[a], img[b]) in chords for a, b in c.bic):
+                phi = [0] * n
+                for i, v in enumerate(c.order):
+                    phi[v] = t.order[img[i]]
+                if best is None or tuple(phi) < best:
+                    best = tuple(phi)
+    return best
+
+
 def ref_components(g, vertices=None):
     """Components of the subgraph induced on vertices (all by default), each
     sorted, ordered by least vertex; a breadth-first walk."""

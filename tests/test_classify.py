@@ -14,6 +14,7 @@ from helpers import (
     random_relabel,
     random_segmented_path,
     random_switching,
+    ref_align,
     ref_bipartition,
     ref_cycle_form,
     ref_path_form,
@@ -36,7 +37,15 @@ from sephom import (
     switching_equivalent,
     verdict_dict,
 )
-from sephom.classify import NP_COMPLETE, POLYNOMIAL, Verdict, classify_cycle, classify_path
+from sephom.classify import (
+    NP_COMPLETE,
+    POLYNOMIAL,
+    Verdict,
+    _align,
+    _template,
+    classify_cycle,
+    classify_path,
+)
 from sephom.ordering import ordering_for_cycle_target, verify_min_ordering, verify_special
 from sephom.separable import NOT_SEGMENTED, cycle_form, path_form, segmented_form
 from sephom.targets import H0, H1, HL, template_cycle_form, template_pair_count, template_pairs
@@ -250,6 +259,8 @@ def test_chordless_cycles_never_build_the_template(monkeypatch):
     def forbidden(kind, ell=None):
         raise AssertionError("template built for a chordless cycle")
 
+    # A kept template would answer without the builder below.
+    _template.cache_clear()
     monkeypatch.setattr(importlib.import_module("sephom.targets"), "template_cycle_form", forbidden)
     for n in range(6, 31, 2):
         g = SignedGraph(n, [(i, (i + 1) % n, BLUE) for i in range(n)])
@@ -377,3 +388,110 @@ def test_the_switching_takes_no_part_in_equality_repr_or_the_verdict_dict():
     assert v == bare and hash(v) == hash(bare) and repr(v) == repr(bare)
     assert verdict_dict(v) == verdict_dict(bare)
     assert "switching" not in verdict_dict(v)
+
+
+TEMPLATES = [(H0, None), (H1, None)] + [(HL, ell) for ell in range(3, 62, 2)]
+
+
+def _template_graph(kind, ell):
+    return {H0: build_h0, H1: build_h1}[kind]() if ell is None else build_hl(ell)
+
+
+def _ring(t, bic):
+    """A graph whose cycle_form has t's cycle, sign and the chords bic, with
+    vertex i at position i."""
+    n = len(t.order)
+    edges = [(i, i + 1, BLUE) for i in range(n - 1)]
+    edges.append((0, n - 1, RED if t.cycle_sign == "-" else BLUE))
+    return SignedGraph(n, edges + [(a, b, BICOLOURED) for a, b in bic])
+
+
+def _near_misses(t):
+    """t's chords with one of them moved two places along the cycle, at
+    either end and either way: the chord count and parity stay."""
+    n = len(t.order)
+    for a, b in sorted(t.bic):
+        for end in (0, 1):
+            for d in (2, -2):
+                x, y = (a, (b + d) % n) if end else ((a + d) % n, b)
+                x, y = min(x, y), max(x, y)
+                if y - x not in (1, n - 1) and (x, y) not in t.bic:
+                    yield (t.bic - {(a, b)}) | {(x, y)}
+
+
+def test_alignment_matches_the_full_scan():
+    rng = random.Random(31)
+    forms = [cycle_form(g) for g in enum_targets("cycle", 10)]
+    for kind, ell in TEMPLATES:
+        h = _template_graph(kind, ell)
+        forms += [cycle_form(quick_disguise(rng, h)) for _ in range(4)]
+        if kind == HL:
+            t = template_cycle_form(kind, ell)
+            forms += [cycle_form(quick_disguise(rng, _ring(t, bic))) for bic in _near_misses(t)]
+    compared = matched = 0
+    for c in forms:
+        for kind, ell in TEMPLATES:
+            t = template_cycle_form(kind, ell)
+            if (len(c.order), c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+                continue
+            phi = _align(c, kind, ell)
+            assert phi == ref_align(c, t)
+            compared += 1
+            matched += phi is not None
+    assert compared > 1000 and 100 < matched < compared
+
+
+def test_self_alignments_are_the_template_symmetries():
+    # Brute force over the 2n rotations and reflections of each template.
+    for kind, ell in TEMPLATES:
+        t = template_cycle_form(kind, ell)
+        n = len(t.order)
+        brute = set()
+        for s in range(n):
+            for step in (1, -1):
+                img = [(s + step * i) % n for i in range(n)]
+                if {tuple(sorted((img[a], img[b]))) for a, b in t.bic} == t.bic:
+                    brute.add(tuple(t.order[i] for i in img))
+        selves = _template(kind, ell)[2]
+        assert selves[0] == t.order
+        assert len(selves) == len(brute) == {H0: 8, H1: 4, HL: 4 if ell == 3 else 2}[kind]
+        assert set(selves) == brute
+
+
+def test_each_template_is_built_once_across_calls(monkeypatch):
+    built = []
+    real = template_cycle_form
+
+    def counted(kind, ell=None):
+        built.append((kind, ell))
+        return real(kind, ell)
+
+    monkeypatch.setattr(importlib.import_module("sephom.targets"), "template_cycle_form", counted)
+    _template.cache_clear()
+    rng = random.Random(33)
+    keys = [(H0, None), (H1, None), (HL, 5), (HL, 61), (HL, 7)]
+    for _ in range(3):
+        for kind, ell in keys + keys[::-1]:
+            assert classify(quick_disguise(rng, _template_graph(kind, ell))).complexity == POLYNOMIAL
+    assert built == keys
+
+
+def test_template_table_stays_bounded():
+    _template.cache_clear()
+    maxsize = _template.cache_info().maxsize
+    for ell in range(3, 2 * maxsize + 12, 2):
+        assert classify(build_hl(ell)).reason == "MatchesHl(%d)" % ell
+    assert _template.cache_info().currsize == maxsize
+
+
+def test_warm_and_cold_template_tables_agree():
+    rng = random.Random(34)
+    graphs = [quick_disguise(rng, _template_graph(kind, ell)) for kind, ell in TEMPLATES]
+    graphs += enum_targets("cycle", 8)
+    hits = 0
+    for g in graphs:
+        _template.cache_clear()
+        cold = verdict_dict(classify(g))
+        assert verdict_dict(classify(g)) == cold
+        hits += _template.cache_info().hits
+    assert hits >= len(TEMPLATES)
