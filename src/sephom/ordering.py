@@ -135,7 +135,7 @@ def ordering_for_segmented(p: PathForm, f: SegmentedForm) -> Ordering:
         raise ValueError("no ordering for kind %r" % f.kind)
     # Segments tile the block starts, so the segments' forward sources are
     # the block starts and their backward sources the block ends.
-    forward = {i for i, j in p.bic if j == i + 3}
+    forward = set(separable._block_starts(p._rows))
     backward = {i + 3 for i in forward}
 
     def arrange(parity: int) -> Tuple[int, ...]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import xor
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .sgcore import BICOLOURED, RED, SignedGraph, Switching
+from .sgcore import BICOLOURED, RED, SignedGraph, Switching, _bits, _inverse
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -19,28 +20,60 @@ TRIVIAL_PATH = "TrivialPath"
 NOT_SEGMENTED = "NotSegmented"
 
 
-@dataclass(frozen=True)
+def _new(cls, **fields):
+    """A cls instance holding fields as they are, with no __init__ run."""
+    f = object.__new__(cls)
+    f.__dict__.update(fields)
+    return f
+
+
+def _chord_rows(pos, pairs: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    """Rows with bits pos[u] and pos[v] joined for each pair (u, v)."""
+    rows = [0] * len(pos)
+    for u, v in pairs:
+        a, b = pos[u], pos[v]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return tuple(rows)
+
+
+def _chord_pairs(f) -> FrozenSet[Tuple[int, int]]:
+    """f's chords as position pairs (a, b) with a < b, read off its rows."""
+    return frozenset((a, b) for a, r in enumerate(f._rows) for b in _bits(r >> a + 1 << a + 1))
+
+
+@dataclass(frozen=True, init=False)
 class PathForm:
     """Spanning unicoloured path: vertex order and the bicoloured edges as
-    position pairs (a, b) with a < b. red holds the red steps, keyed
-    u * n + v with u < v, from which _semi_balancing reads a switching that
-    makes the path blue; it takes no part in equality."""
+    chord rows, bit j of _rows[i] set when one joins positions i and j; bic
+    reads them as the position pairs (a, b) with a < b the constructor takes.
+    red holds the red steps, keyed u * n + v with u < v, from which
+    _semi_balancing reads a switching that makes the path blue; it takes no
+    part in equality."""
 
     order: Tuple[int, ...]
-    bic: FrozenSet[Tuple[int, int]]
+    _rows: Tuple[int, ...]
     red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
+    bic = property(_chord_pairs)
+
+    def __init__(self, order, bic, red=frozenset()):
+        self.__dict__.update(order=tuple(order), _rows=_chord_rows(range(len(order)), bic), red=red)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleForm:
     """Spanning unicoloured cycle: cyclic vertex order, the switching-invariant
-    cycle sign, and bicoloured edges as position pairs (a, b) with a < b.
-    red holds its red steps as PathForm's does."""
+    cycle sign, and the bicoloured and red edges as PathForm holds them."""
 
     order: Tuple[int, ...]
     cycle_sign: str
-    bic: FrozenSet[Tuple[int, int]]
+    _rows: Tuple[int, ...]
     red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
+    bic = property(_chord_pairs)
+
+    def __init__(self, order, cycle_sign, bic, red=frozenset()):
+        rows = _chord_rows(range(len(order)), bic)
+        self.__dict__.update(order=tuple(order), cycle_sign=cycle_sign, _rows=rows, red=red)
 
 
 @dataclass(frozen=True)
@@ -93,7 +126,7 @@ def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
     red edges, keyed u * n + v, go on the form for _semi_balancing."""
     n = g.n
     if n < 2:
-        return PathForm((0,), frozenset()) if n else None
+        return PathForm((0,), ()) if n else None
     uni: List[List[int]] = [[] for _ in range(n)]
     red = []
     pairs = []
@@ -111,16 +144,10 @@ def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
     order = _trace(uni, ends[0] if ends else 0)
     if len(order) != n:
         return None
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    bic = set()
-    for u, v in pairs:
-        a, b = pos[u], pos[v]
-        bic.add((a, b) if a < b else (b, a))
+    rows, red = _chord_rows(_inverse(order), pairs), frozenset(red)
     if ends:
-        return PathForm(order, frozenset(bic), frozenset(red))
-    return CycleForm(order, "-" if len(red) & 1 else "+", frozenset(bic), frozenset(red))
+        return _new(PathForm, order=order, _rows=rows, red=red)
+    return _new(CycleForm, order=order, cycle_sign="-" if len(red) & 1 else "+", _rows=rows, red=red)
 
 
 def _semi_balancing(f: Union[PathForm, CycleForm]) -> Switching:
@@ -154,12 +181,23 @@ def cycle_form(g: SignedGraph) -> Optional[CycleForm]:
     return f if isinstance(f, CycleForm) else None
 
 
+@functools.lru_cache(maxsize=256)
+def _parities(n: int) -> Tuple[int, int]:
+    """The masks of the even and of the odd positions below n; the
+    positions k, k + 2, ... below n are the one of k's parity >> k << k."""
+    return (1 << (n + 1) // 2 * 2) // 3, (1 << n // 2 * 2) // 3 << 1
+
+
+def _block_starts(rows: Tuple[int, ...]) -> List[int]:
+    """The positions i with a chord to i + 3, in increasing order."""
+    return [i for i, r in enumerate(rows) if r >> i + 3 & 1]
+
+
 def find_segments(p: PathForm) -> List[Segment]:
     """Maximal runs of blocks starting two apart, in increasing start order."""
-    starts = sorted(i for i, j in p.bic if j == i + 3)
     segments: List[Segment] = []
     run: List[int] = []
-    for i in starts:
+    for i in _block_starts(p._rows):
         if run and i == run[-1] + 2:
             run.append(i)
         else:
@@ -171,61 +209,68 @@ def find_segments(p: PathForm) -> List[Segment]:
     return segments
 
 
+def _held(rows: Tuple[int, ...], sources: Iterable[int], sinks: Iterable[int]) -> bool:
+    """Whether each source f has every forward chord, to f + 3, f + 5, ...,
+    and each sink h every backward one, from h - 3, h - 5, ...: one mask of
+    positions of the other parity against each one's row."""
+    par = _parities(len(rows))
+    return all(not par[~f & 1] >> f + 3 << f + 3 & ~rows[f] for f in sources) and all(
+        not par[~h & 1] & ((1 << h) - 1) >> 2 & ~rows[h] for h in sinks
+    )
+
+
 def segment_leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
     """Leaning labels: Right iff every forward source has every forward edge,
     Left iff every backward source has every backward edge."""
     if s not in find_segments(p):
         raise ValueError("not a segment of this path form")
     labels = set()
-    if _forward_closure(s.forward_sources(), len(p.order)) <= p.bic:
+    if _held(p._rows, s.forward_sources(), ()):
         labels.add(RIGHT)
-    if _backward_closure(s.backward_sources()) <= p.bic:
+    if _held(p._rows, (), s.backward_sources()):
         labels.add(LEFT)
     return frozenset(labels)
-
-
-def _forward_closure(starts: Iterable[int], n: int) -> set:
-    """Every forward edge (f, t), t = f+3, f+5, ..., from each position f."""
-    return {(f, t) for f in starts for t in range(f + 3, n, 2)}
-
-
-def _backward_closure(ends: Iterable[int]) -> set:
-    """Every backward edge (t, h), t = h-3, h-5, ..., into each position h."""
-    return {(t, h) for h in ends for t in range(h - 3, -1, -2)}
 
 
 def _kinds(p: PathForm) -> Iterator[Tuple[str, Optional[Segment]]]:
     """Each segmented kind whose mandated bicoloured set equals p.bic, with
     its pivot segment where one applies, in the precedence order
-    TrivialPath, Right, Left, LeftRight. The Right and Left sets close over
-    the block starts and ends (the segments' sources) in O(n^2); only the
-    LeftRight pivot loop reads the segments, O(segments * n^2), and it runs
-    only when the caller asks past the kinds before it."""
-    n = len(p.order)
-    if not p.bic:
+    TrivialPath, Right, Left, LeftRight. A kind matches when p has as many
+    chords as it mandates and every mandated one (_held), in O(n) big-int
+    operations. The LeftRight pivot loop runs only when the caller asks
+    past the kinds before it."""
+    rows = p._rows
+    twice = sum(map(int.bit_count, rows))
+    if not twice:
         yield TRIVIAL_PATH, None
         return
-    starts = sorted(i for i, j in p.bic if j == i + 3)
+    starts = _block_starts(rows)
     if any(b - a == 1 for a, b in zip(starts, starts[1:])):
         # Blocks at consecutive positions overlap in an alternating 4-cycle.
         return
-    if _forward_closure(starts, n) == p.bic:
+    n = len(rows)
+    ends = [i + 3 for i in starts]
+    out = [(n - i - 2) // 2 for i in starts]  # the chords each closure holds
+    into = [(h - 1) // 2 for h in ends]
+    if 2 * sum(out) == twice and _held(rows, starts, ()):
         yield RIGHT_SEGMENTED, None
-    if _backward_closure(i + 3 for i in starts) == p.bic:
+    if 2 * sum(into) == twice and _held(rows, (), ends):
         yield LEFT_SEGMENTED, None
+    k = 0  # the pivot's first block start is starts[k]
     for pivot in find_segments(p):
-        # Backward edges into the blocks up to the pivot's, forward edges
-        # out of the blocks from the pivot's on, and every cross pair.
-        mandated = _backward_closure(i + 3 for i in starts if i < pivot.end - 1)
-        mandated |= _forward_closure((i for i in starts if i >= pivot.start), n)
-        mandated |= {
-            (src, tgt)
-            for src in range(pivot.start - 2, -1, -2)
-            for tgt in range(pivot.end + 2, n, 2)
-        }
-        if mandated == p.bic:
+        # Backward chords into the blocks up to the pivot's, forward chords
+        # out of the blocks from the pivot's on, and every cross pair; the
+        # first two share the j(j + 1)/2 chords among the pivot's own blocks.
+        ps, pe, j = pivot.start, pivot.end, pivot.j
+        cross = range(ps - 2, -1, -2)
+        far = _parities(n)[pe & 1] >> pe + 2 << pe + 2
+        count = sum(into[: k + j]) + sum(out[k:]) + len(cross) * far.bit_count() - j * (j + 1) // 2
+        if 2 * count == twice and _held(rows, starts[k:], ends[: k + j]) and all(
+            not far & ~rows[i] for i in cross
+        ):
             yield LEFT_RIGHT_SEGMENTED, pivot
             return
+        k += j
 
 
 def matching_kinds(p: PathForm) -> dict:

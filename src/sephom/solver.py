@@ -19,7 +19,7 @@ from .sgcore import (
     _switching, is_semi_balanced,
 )
 from . import targets
-from .classify import NP_COMPLETE, classify
+from .classify import NP_COMPLETE, _rank_table, classify
 from .ordering import (
     Ordering, _min_violator, _rank_rows, _special_violator, ordering_for_cycle_target,
 )
@@ -402,14 +402,15 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
     order, place, uni, bic = table
     g = inst.g
     # Each distinct list is checked and turned into a mask of places once.
+    bit = [1 << r for r in place]
     as_mask: Dict[FrozenSet[int], int] = {}
     base = []
     for l in inst.lists:
         m = as_mask.get(l)
         if m is None:
-            if any(a >= len(order) for a in l):
+            if l and max(l) >= len(order):
                 raise ValueError("list value outside the target")
-            m = as_mask[l] = sum(1 << place[a] for a in l)
+            m = as_mask[l] = sum(map(bit.__getitem__, l))
         base.append(m)
     blue = [uni[a] | bic[a] for a in order]
     red = list(blue)
@@ -441,6 +442,7 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
 _H1 = targets.build_h1()
 # Places 0-5 of H1: white's ground, long and short value, then black's: 0, 2, 5, 3, 1, 4.
 _H1_ORDERING = ordering_for_cycle_target(targets.H1)
+_H1_TABLE = _rank_rows(_H1, _H1_ORDERING)
 
 
 def solve_h1(inst: Instance) -> Optional[Solution]:
@@ -448,7 +450,7 @@ def solve_h1(inst: Instance) -> Optional[Solution]:
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one parity walk per component tying region choices to boundary
     switchings. It is solve's H1 route with the target's own ordering."""
-    return _solve_via_h1(_H1, inst, _H1_ORDERING)
+    return _solve_via_h1(_H1, inst, _H1_ORDERING, _H1_TABLE)
 
 
 def _solve_h1_component(
@@ -519,7 +521,7 @@ def _solve_h1_component(
 
 def solve_ordered(
     inst: Instance, h: SignedGraph, o: Ordering, stats: Optional[dict] = None,
-    *, switching: Optional[Switching] = None,
+    *, switching: Optional[Switching] = None, _table: Optional[tuple] = None,
 ) -> Optional[Solution]:
     """Exact decision for a semi-balanced target with a special min
     ordering o, without search: per instance component and side assignment,
@@ -534,8 +536,9 @@ def solve_ordered(
     is_semi_balanced checks h and finds the switching the finish reads,
     unless switching, one that makes every unicoloured edge of h blue, as a
     P verdict carries, is given; it is trusted. Either of a connected h's
-    two such switchings gives the same solution."""
-    order, _, uni, bic = table = _rank_rows(h, o)
+    two such switchings gives the same solution. solve passes _table, a
+    template match's table read off the template, trusted likewise."""
+    order, _, uni, bic = table = _rank_rows(h, o) if _table is None else _table
     if _min_violator(o, uni, bic) is not None or _special_violator(uni, bic) is not None:
         raise ValueError("ordering fails verification on the target")
     t = is_semi_balanced(h) if switching is None else switching
@@ -603,13 +606,14 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
     return problems
 
 
-def _solve_via_h1(target: SignedGraph, inst: Instance, o: Ordering) -> Optional[Solution]:
+def _solve_via_h1(target: SignedGraph, inst: Instance, o: Ordering, table: tuple) -> Optional[Solution]:
     """Solve against a target matching H1 as given, with o, the verdict's
     ordering: _H1_ORDERING pulled back through the alignment, so the
-    target's places are H1's. One walk rooted at order[0], over unicoloured
-    edges against H1's colours at the same places, gives the switching s the
-    equivalence search finds; every vertex whose image is in s flips."""
-    order, place, _, _ = table = _rank_rows(target, o)
+    target's places are H1's, and table, its _rank_rows. One walk rooted at
+    order[0], over unicoloured edges against H1's colours at the same
+    places, gives the switching s the equivalence search finds; every
+    vertex whose image is in s flips."""
+    order, place, _, _ = table
     h1 = _H1_ORDERING.white_order + _H1_ORDERING.black_order
     s = _switching(target, (
         (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
@@ -638,8 +642,9 @@ def solve(
         sol = solve_oracle(inst, target, stats)
     elif alg in ("auto", "h1", "ordered"):
         verdict = classify(target)
+        table = _rank_table(target, verdict)
         if verdict.reason == "MatchesH1" and alg != "ordered":
-            sol = _solve_via_h1(target, inst, verdict.ordering)
+            sol = _solve_via_h1(target, inst, verdict.ordering, table)
         elif alg == "h1":
             raise ValueError("target is not equivalent to the 6-vertex unbalanced cycle")
         elif verdict.complexity == NP_COMPLETE:
@@ -649,7 +654,9 @@ def solve(
                 "target is NP-complete (%s); rerun with --alg oracle" % verdict.reason
             )
         else:
-            sol = solve_ordered(inst, target, verdict.ordering, stats, switching=verdict.switching)
+            sol = solve_ordered(
+                inst, target, verdict.ordering, stats, switching=verdict.switching, _table=table
+            )
     else:
         raise ValueError("unknown alg %r" % alg)
     if sol is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .separable import CycleForm
+from .separable import CycleForm, _new, _parities
 from .sgcore import BICOLOURED, BLUE, RED, SignedGraph, _probe_count
 
 H0 = "H0"
@@ -44,7 +44,7 @@ def _check_odd(ell: Optional[int], least: int) -> None:
 
 def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
     """cycle_form of build_h0(), build_h1() or build_hl(ell), read off the
-    layout above without building the graph."""
+    layout above without building the graph or listing its chords."""
     if kind == H0:
         return CycleForm((0, 1, 2, 3), "+", frozenset())
     if kind == H1:
@@ -55,7 +55,11 @@ def template_cycle_form(kind: str, ell: Optional[int] = None) -> CycleForm:
     else:
         raise ValueError("unknown target kind %r" % kind)
     order = tuple(range(ell + 1)) + (ell + 2, ell + 1)
-    return CycleForm(order, sign, frozenset(template_pairs(ell)))
+    # Position i <= ell is vertex i: an even one has chords to the odd
+    # positions from i + 3 to ell, an odd one to the even ones up to i - 3.
+    even, odd = _parities(ell + 1)
+    rows = [odd >> i + 3 << i + 3 if i % 2 == 0 else even & ((1 << i) - 1) >> 2 for i in range(ell + 1)]
+    return _new(CycleForm, order=order, cycle_sign=sign, _rows=tuple(rows + [0, 0]), red=frozenset())
 
 
 def _cycle_edges(ell: int, long_colour, short_colours):

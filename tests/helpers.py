@@ -607,9 +607,9 @@ def ref_cycle_form(g):
     return CycleForm(order, "-" if bit else "+", _ref_bic_positions(g, order))
 
 
-def _ref_chord_degrees(c):
-    deg = [0] * len(c.order)
-    for a, b in c.bic:
+def _ref_chord_degrees(bic, n):
+    deg = [0] * n
+    for a, b in bic:
         deg[a] += 1
         deg[b] += 1
     return deg
@@ -622,12 +622,14 @@ def ref_align(c, t):
     agree. The full scan: every rotation and reflection that passes the
     chord-degree filter is checked chord by chord."""
     n = len(c.order)
-    if (n, c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+    # bic is built on each read, so each is read once.
+    cbic, tbic = c.bic, t.bic
+    if (n, c.cycle_sign, len(cbic)) != (len(t.order), t.cycle_sign, len(tbic)):
         return None
-    deg = _ref_chord_degrees(c)
+    deg = _ref_chord_degrees(cbic, n)
     rev = deg[::-1]
-    twice = _ref_chord_degrees(t) * 2
-    chords = t.bic | {(b, a) for a, b in t.bic}
+    twice = _ref_chord_degrees(tbic, n) * 2
+    chords = tbic | {(b, a) for a, b in tbic}
     best = None
     for s in range(n):
         # Position i of c goes to position s + i, or s - i, of t (mod n).
@@ -635,7 +637,7 @@ def ref_align(c, t):
             if twice[at : at + n] != seq:
                 continue
             img = [(s + step * i) % n for i in range(n)]
-            if all((img[a], img[b]) in chords for a, b in c.bic):
+            if all((img[a], img[b]) in chords for a, b in cbic):
                 phi = [0] * n
                 for i, v in enumerate(c.order):
                     phi[v] = t.order[img[i]]
@@ -678,15 +680,16 @@ def _ref_backward_closure(s):
 def ref_leaning(p, s):
     """Leaning labels of segment s, edge by edge from its sources."""
     n = len(p.order)
+    bic = p.bic  # built on each read
     labels = set()
     if all(
-        (f, t) in p.bic
+        (f, t) in bic
         for f in s.forward_sources()
         for t in range(f + 3, n, 2)
     ):
         labels.add(RIGHT)
     if all(
-        (t, h) in p.bic
+        (t, h) in bic
         for h in s.backward_sources()
         for t in range(h - 3, -1, -2)
     ):
@@ -698,21 +701,22 @@ def ref_matching_kinds(p):
     """Segmented kinds matching p.bic, with every mandated set built as a
     union of per-segment closures."""
     n = len(p.order)
+    bic = p.bic  # built on each read
     found = {}
-    if not p.bic:
+    if not bic:
         found[TRIVIAL_PATH] = None
         return found
     segments = find_segments(p)
     if not segments:
         return found
-    starts = sorted(i for i, j in p.bic if j == i + 3)
+    starts = sorted(i for i, j in bic if j == i + 3)
     if any(b - a == 1 for a, b in zip(starts, starts[1:])):
         return found
     right = set().union(*(_ref_forward_closure(s, n) for s in segments))
-    if right == p.bic:
+    if right == bic:
         found[RIGHT_SEGMENTED] = None
     left = set().union(*(_ref_backward_closure(s) for s in segments))
-    if left == p.bic:
+    if left == bic:
         found[LEFT_SEGMENTED] = None
     for pivot in segments:
         mandated = set()
@@ -726,7 +730,7 @@ def ref_matching_kinds(p):
             for src in range(pivot.start - 2, -1, -2)
             for tgt in range(pivot.end + 2, n, 2)
         }
-        if mandated == p.bic and LEFT_RIGHT_SEGMENTED not in found:
+        if mandated == bic and LEFT_RIGHT_SEGMENTED not in found:
             found[LEFT_RIGHT_SEGMENTED] = pivot
     return found
 

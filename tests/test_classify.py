@@ -1,7 +1,9 @@
 """The dichotomy: template matching for cycles, segmented forms for paths."""
 
+import functools
 import importlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +39,13 @@ from sephom import (
     switching_equivalent,
     verdict_dict,
 )
+from sephom import ordering, solver
 from sephom.classify import (
     NP_COMPLETE,
     POLYNOMIAL,
     Verdict,
     _align,
+    _rank_table,
     _template,
     classify_cycle,
     classify_path,
@@ -406,17 +410,26 @@ def _ring(t, bic):
     return SignedGraph(n, edges + [(a, b, BICOLOURED) for a, b in bic])
 
 
-def _near_misses(t):
-    """t's chords with one of them moved two places along the cycle, at
-    either end and either way: the chord count and parity stay."""
+def _chord_moves(t):
+    """Each (chord, moved chord) of t with one end of the chord moved two
+    places along the cycle, either way, onto a pair that is no chord: the
+    chord count and parity stay."""
     n = len(t.order)
-    for a, b in sorted(t.bic):
+    bic = t.bic
+    for a, b in sorted(bic):
         for end in (0, 1):
             for d in (2, -2):
                 x, y = (a, (b + d) % n) if end else ((a + d) % n, b)
                 x, y = min(x, y), max(x, y)
-                if y - x not in (1, n - 1) and (x, y) not in t.bic:
-                    yield (t.bic - {(a, b)}) | {(x, y)}
+                if y - x not in (1, n - 1) and (x, y) not in bic:
+                    yield (a, b), (x, y)
+
+
+def _near_misses(t):
+    """t's chords with one of them moved (see _chord_moves)."""
+    bic = t.bic
+    for old, new in _chord_moves(t):
+        yield (bic - {old}) | {new}
 
 
 def test_alignment_matches_the_full_scan():
@@ -429,11 +442,13 @@ def test_alignment_matches_the_full_scan():
             t = template_cycle_form(kind, ell)
             forms += [cycle_form(quick_disguise(rng, _ring(t, bic))) for bic in _near_misses(t)]
     compared = matched = 0
+    shapes = [(len(t.order), t.cycle_sign, len(t.bic)) for t in map(template_cycle_form, *zip(*TEMPLATES))]
     for c in forms:
-        for kind, ell in TEMPLATES:
-            t = template_cycle_form(kind, ell)
-            if (len(c.order), c.cycle_sign, len(c.bic)) != (len(t.order), t.cycle_sign, len(t.bic)):
+        shape = (len(c.order), c.cycle_sign, len(c.bic))
+        for (kind, ell), same in zip(TEMPLATES, shapes):
+            if shape != same:
                 continue
+            t = template_cycle_form(kind, ell)
             phi = _align(c, kind, ell)
             assert phi == ref_align(c, t)
             compared += 1
@@ -495,3 +510,84 @@ def test_warm_and_cold_template_tables_agree():
         assert verdict_dict(classify(g)) == cold
         hits += _template.cache_info().hits
     assert hits >= len(TEMPLATES)
+
+
+def _moved_chords(rng, t, count):
+    """count random near misses of t (see _near_misses), or all it has."""
+    moves = list(_chord_moves(t))
+    return [(t.bic - {old}) | {new} for old, new in rng.sample(moves, min(count, len(moves)))]
+
+
+@functools.lru_cache(maxsize=1)
+def _template_sweep():
+    """(template key, disguised graph) for H0, H1 and every Hl(ell) with
+    ell = 3..253: two disguised copies and, for Hl, two near misses of each
+    (Hl(3) has none); built once for the tests that share it."""
+    rng = random.Random(35)
+    sweep = []
+    for kind, ell in [(H0, None), (H1, None)] + [(HL, ell) for ell in range(3, 254, 2)]:
+        h = _template_graph(kind, ell)
+        sweep += [((kind, ell), quick_disguise(rng, h)) for _ in range(2)]
+        if kind == HL:
+            t = template_cycle_form(kind, ell)
+            sweep += [((kind, ell), quick_disguise(rng, _ring(t, bic))) for bic in _moved_chords(rng, t, 2)]
+    return tuple(sweep)
+
+
+def test_alignment_matches_the_full_scan_up_to_ell_253():
+    compared = matched = 0
+    for (kind, ell), g in _template_sweep():
+        c = cycle_form(g)
+        phi = _align(c, kind, ell)
+        assert phi == ref_align(c, template_cycle_form(kind, ell))
+        compared += 1
+        matched += phi is not None
+    assert compared == 2 + 2 + 2 + 125 * 4 and matched == 2 + 2 + 126 * 2
+
+
+def test_a_template_match_reads_its_rank_rows_off_the_template(monkeypatch):
+    # The table solve builds from the template is _rank_rows' element for
+    # element, and solve on a matched target builds no _rank_rows of its
+    # own; solve_ordered called directly builds one.
+    built = []
+    real = ordering._rank_rows
+
+    def counted(g, o):
+        built.append(g)
+        return real(g, o)
+
+    matched = 0
+    for (kind, ell), g in _template_sweep():
+        v = classify(g)
+        if v.complexity != POLYNOMIAL:
+            assert _rank_table(g, v) is None
+            continue
+        matched += 1
+        assert _rank_table(g, v) == real(g, v.ordering)
+        if g.n > 40:
+            continue
+        inst = solver.Instance(blue_path(3), [range(g.n)] * 3)
+        with monkeypatch.context() as m:
+            m.setattr(ordering, "_rank_rows", counted)
+            m.setattr(solver, "_rank_rows", counted)
+            built.clear()
+            assert solver.solve(g, inst) is not None
+            assert built == []
+            if kind != H1:
+                assert solver.solve_ordered(inst, g, v.ordering) == solver.solve(g, inst, "ordered")
+                assert built == [g]
+    assert matched == 2 + 2 + 126 * 2
+
+
+def test_the_hl_1001_template_entry_stays_under_a_megabyte():
+    # Its rows hold O(n) ints of n bits, not n^2 / 8 chord tuples.
+    _template.cache_clear()
+    tracemalloc.start()
+    try:
+        e = _template(HL, 1001)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _template.cache_clear()
+    assert len(e.form.order) == 1004
+    assert size < 1 << 20

@@ -10,6 +10,7 @@ from helpers import (
     form_edge_case_st,
     form_sweep,
     random_path_target,
+    random_segmented_path,
     random_switching,
     ref_form,
     ref_leaning,
@@ -271,6 +272,31 @@ def test_block_closures_match_the_segment_closures():
             assert form == _precedence_pick(ref)
             kinds.add(form.kind)
     assert len(kinds) == 5
+
+
+def test_row_kinds_match_the_segment_closures_up_to_128_vertices():
+    # Seeded segmented paths, each also with one chord dropped, and random
+    # paths of three chord densities, at n = 11, 20, ..., 128.
+    rng = random.Random(37)
+    kinds = set()
+    compared = 0
+    for n in range(11, 129, 9):
+        graphs = [random_segmented_path(rng, n) for _ in range(2)]
+        graphs.append(random_path_target(rng, n, rng.choice((0.02, 0.1, 0.3))))
+        for g in graphs:
+            pf = path_form(g)
+            forms = [pf]
+            if pf.bic:
+                forms.append(PathForm(pf.order, pf.bic - {rng.choice(sorted(pf.bic))}))
+            for f in forms:
+                ref = ref_matching_kinds(f)
+                assert matching_kinds(f) == ref
+                assert segmented_form(f) == _precedence_pick(ref)
+                for s in find_segments(f):
+                    assert segment_leaning(f, s) == ref_leaning(f, s)
+                kinds.add(segmented_form(f).kind)
+                compared += 1
+    assert compared > 60 and kinds == {RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED, NOT_SEGMENTED}
 
 
 def _red_keys(g):

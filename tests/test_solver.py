@@ -1006,7 +1006,9 @@ def test_solve_classifies_once_and_builds_no_target(monkeypatch):
 
 def test_solve_ordered_builds_the_rank_rows_once_per_call(monkeypatch):
     # Both verifier scans read one table; the wrapper stands in for the
-    # table function in the ordering module and in the solver alike.
+    # table function in the ordering module and in the solver alike. solve
+    # reads a template match's table off the template and builds none; on a
+    # segmented path it builds one, as solve_ordered called directly does.
     rng = random.Random(6)
     cases = [disguise(rng, build_hl(ell)) for ell in (3, 9)]
     cases.append(SignedGraph(8, [(i, i + 1, BLUE) for i in range(7)] + [
@@ -1022,12 +1024,18 @@ def test_solve_ordered_builds_the_rank_rows_once_per_call(monkeypatch):
     monkeypatch.setattr(ordering, "_rank_rows", counted)
     monkeypatch.setattr(solver, "_rank_rows", counted)
     for target in cases:
+        matched = classify(target).reason.startswith("Matches")
         yes = Instance(blue_path(3), full_lists(3, target))
         for inst in (yes, random_instance(rng, 8, target)):
+            for alg in ("auto", "ordered"):
+                built.clear()
+                sol = solve(target, inst, alg)
+                assert built == ([] if matched else [target])
+                assert sol is not None or inst is not yes
             built.clear()
-            sol = solve(target, inst, "ordered")
+            direct = solve_ordered(inst, target, classify(target).ordering)
             assert built == [target]
-            assert sol is not None or inst is not yes
+            assert direct == solve(target, inst, "ordered")
 
 
 def test_check_solution_reports_all_violation_kinds():
