@@ -35,7 +35,6 @@ from .separable import (
     cycle_form,
     find_segments,
     path_form,
-    segment_leaning,
     segmented_form,
 )
 from .witness import (

@@ -113,7 +113,7 @@ def _template(kind: str, ell: Optional[int]) -> _Entry:
     both align a target, img2 after the inverse of img is a self-alignment,
     so one alignment and the self-alignments give them all."""
     t = targets.template_cycle_form(kind, ell)
-    n, rows = len(t.order), t._rows
+    n, rows = len(t.order), t.rows
     rev = tuple(int(format(r, "0%db" % n)[::-1], 2) for r in rows)
     at_degree: Dict[int, List[int]] = {}
     for i, r in enumerate(rows):
@@ -144,7 +144,7 @@ def _align(c: separable.CycleForm, kind: str, ell: Optional[int]) -> Optional[Tu
     e = _template(kind, ell)
     if len(c.order) != len(e.rev) or c.cycle_sign != e.form.cycle_sign:
         return None
-    img = next(_alignments(c._rows, e.form._rows, e.rev, e.at_degree), None)
+    img = next(_alignments(c.rows, e.form.rows, e.rev, e.at_degree), None)
     if img is None:
         return None
     where = list(map(img.__getitem__, _inverse(c.order)))
@@ -176,7 +176,7 @@ def _classify_cycle(g: SignedGraph, c: separable.CycleForm) -> Verdict:
         candidates.append((targets.H1, "MatchesH1", None))
     # Hl(n - 3) is built only when its chord count, half the row bits, matches.
     if n >= 6 and n % 2 == 0 and c.cycle_sign == "+" and (
-            sum(map(int.bit_count, c._rows)) == 2 * targets.template_pair_count(n - 3)):
+            sum(map(int.bit_count, c.rows)) == 2 * targets.template_pair_count(n - 3)):
         candidates.append((targets.HL, "MatchesHl(%d)" % (n - 3), n - 3))
     for kind, reason, ell in candidates:
         phi = _align(c, kind, ell)
@@ -205,7 +205,7 @@ def _classify(g: SignedGraph, f) -> Verdict:
             return Verdict(NP_COMPLETE, "NonBipartite")
         raise ValueError("unicoloured edges form neither a spanning path nor cycle")
     path = isinstance(f, separable.PathForm)
-    rows, (even, odd) = f._rows, separable._parities(g.n)
+    rows, (even, odd) = f.rows, separable._parities(g.n)
     # An odd distance joins positions of unlike parity.
     if not (path or g.n % 2 == 0) or (
             reduce(or_, rows[::2], 0) & even or reduce(or_, rows[1::2], 0) & odd):

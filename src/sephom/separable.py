@@ -6,25 +6,15 @@ import functools
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import xor
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .sgcore import BICOLOURED, RED, SignedGraph, Switching, _bits, _inverse
-
-LEFT = "Left"
-RIGHT = "Right"
+from .sgcore import BICOLOURED, RED, SignedGraph, Switching, _inverse
 
 RIGHT_SEGMENTED = "RightSegmented"
 LEFT_SEGMENTED = "LeftSegmented"
 LEFT_RIGHT_SEGMENTED = "LeftRightSegmented"
 TRIVIAL_PATH = "TrivialPath"
 NOT_SEGMENTED = "NotSegmented"
-
-
-def _new(cls, **fields):
-    """A cls instance holding fields as they are, with no __init__ run."""
-    f = object.__new__(cls)
-    f.__dict__.update(fields)
-    return f
 
 
 def _chord_rows(pos, pairs: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
@@ -37,49 +27,33 @@ def _chord_rows(pos, pairs: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-def _chord_pairs(f) -> FrozenSet[Tuple[int, int]]:
-    """f's chords as position pairs (a, b) with a < b, read off its rows."""
-    return frozenset((a, b) for a, r in enumerate(f._rows) for b in _bits(r >> a + 1 << a + 1))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PathForm:
     """Spanning unicoloured path: vertex order and the bicoloured edges as
-    chord rows, bit j of _rows[i] set when one joins positions i and j; bic
-    reads them as the position pairs (a, b) with a < b the constructor takes.
-    red holds the red steps, keyed u * n + v with u < v, from which
+    chord rows, bit j of rows[i] set when one joins positions i and j. red
+    holds the red steps, keyed u * n + v with u < v, from which
     _semi_balancing reads a switching that makes the path blue; it takes no
     part in equality."""
 
     order: Tuple[int, ...]
-    _rows: Tuple[int, ...]
+    rows: Tuple[int, ...]
     red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
-    bic = property(_chord_pairs)
-
-    def __init__(self, order, bic, red=frozenset()):
-        self.__dict__.update(order=tuple(order), _rows=_chord_rows(range(len(order)), bic), red=red)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CycleForm:
     """Spanning unicoloured cycle: cyclic vertex order, the switching-invariant
     cycle sign, and the bicoloured and red edges as PathForm holds them."""
 
     order: Tuple[int, ...]
     cycle_sign: str
-    _rows: Tuple[int, ...]
+    rows: Tuple[int, ...]
     red: FrozenSet[int] = field(default=frozenset(), compare=False, repr=False)
-    bic = property(_chord_pairs)
-
-    def __init__(self, order, cycle_sign, bic, red=frozenset()):
-        rows = _chord_rows(range(len(order)), bic)
-        self.__dict__.update(order=tuple(order), cycle_sign=cycle_sign, _rows=rows, red=red)
 
 
 @dataclass(frozen=True)
 class Segment:
-    """Positions start..start+2j+1; blocks begin at start, start+2, ...
-    Its leaning labels come from segment_leaning."""
+    """Positions start..start+2j+1; blocks begin at start, start+2, ..."""
 
     start: int
     j: int
@@ -87,12 +61,6 @@ class Segment:
     @property
     def end(self) -> int:
         return self.start + 2 * self.j + 1
-
-    def forward_sources(self) -> List[int]:
-        return [self.start + e for e in range(0, 2 * self.j - 1, 2)]
-
-    def backward_sources(self) -> List[int]:
-        return [self.start + o for o in range(3, 2 * self.j + 2, 2)]
 
 
 @dataclass(frozen=True)
@@ -126,7 +94,7 @@ def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
     red edges, keyed u * n + v, go on the form for _semi_balancing."""
     n = g.n
     if n < 2:
-        return PathForm((0,), ()) if n else None
+        return PathForm((0,), (0,)) if n else None
     uni: List[List[int]] = [[] for _ in range(n)]
     red = []
     pairs = []
@@ -146,8 +114,8 @@ def _form(g: SignedGraph) -> Union[PathForm, CycleForm, None]:
         return None
     rows, red = _chord_rows(_inverse(order), pairs), frozenset(red)
     if ends:
-        return _new(PathForm, order=order, _rows=rows, red=red)
-    return _new(CycleForm, order=order, cycle_sign="-" if len(red) & 1 else "+", _rows=rows, red=red)
+        return PathForm(order, rows, red)
+    return CycleForm(order, "-" if len(red) & 1 else "+", rows, red)
 
 
 def _semi_balancing(f: Union[PathForm, CycleForm]) -> Switching:
@@ -197,7 +165,7 @@ def find_segments(p: PathForm) -> List[Segment]:
     """Maximal runs of blocks starting two apart, in increasing start order."""
     segments: List[Segment] = []
     run: List[int] = []
-    for i in _block_starts(p._rows):
+    for i in _block_starts(p.rows):
         if run and i == run[-1] + 2:
             run.append(i)
         else:
@@ -219,43 +187,29 @@ def _held(rows: Tuple[int, ...], sources: Iterable[int], sinks: Iterable[int]) -
     )
 
 
-def segment_leaning(p: PathForm, s: Segment) -> FrozenSet[str]:
-    """Leaning labels: Right iff every forward source has every forward edge,
-    Left iff every backward source has every backward edge."""
-    if s not in find_segments(p):
-        raise ValueError("not a segment of this path form")
-    labels = set()
-    if _held(p._rows, s.forward_sources(), ()):
-        labels.add(RIGHT)
-    if _held(p._rows, (), s.backward_sources()):
-        labels.add(LEFT)
-    return frozenset(labels)
-
-
-def _kinds(p: PathForm) -> Iterator[Tuple[str, Optional[Segment]]]:
-    """Each segmented kind whose mandated bicoloured set equals p.bic, with
-    its pivot segment where one applies, in the precedence order
-    TrivialPath, Right, Left, LeftRight. A kind matches when p has as many
-    chords as it mandates and every mandated one (_held), in O(n) big-int
-    operations. The LeftRight pivot loop runs only when the caller asks
-    past the kinds before it."""
-    rows = p._rows
+def segmented_form(p: PathForm) -> SegmentedForm:
+    """The segmented kind whose mandated bicoloured set equals p's chords,
+    with its pivot segment where one applies; the first that matches in the
+    precedence order TrivialPath, Right, Left, LeftRight, else NotSegmented.
+    A kind matches when p has as many chords as it mandates and every
+    mandated one (_held), in O(n) big-int operations. The LeftRight pivot
+    loop runs only when neither closure matches."""
+    rows = p.rows
     twice = sum(map(int.bit_count, rows))
     if not twice:
-        yield TRIVIAL_PATH, None
-        return
+        return SegmentedForm(TRIVIAL_PATH)
     starts = _block_starts(rows)
     if any(b - a == 1 for a, b in zip(starts, starts[1:])):
         # Blocks at consecutive positions overlap in an alternating 4-cycle.
-        return
+        return SegmentedForm(NOT_SEGMENTED)
     n = len(rows)
     ends = [i + 3 for i in starts]
     out = [(n - i - 2) // 2 for i in starts]  # the chords each closure holds
     into = [(h - 1) // 2 for h in ends]
     if 2 * sum(out) == twice and _held(rows, starts, ()):
-        yield RIGHT_SEGMENTED, None
+        return SegmentedForm(RIGHT_SEGMENTED)
     if 2 * sum(into) == twice and _held(rows, (), ends):
-        yield LEFT_SEGMENTED, None
+        return SegmentedForm(LEFT_SEGMENTED)
     k = 0  # the pivot's first block start is starts[k]
     for pivot in find_segments(p):
         # Backward chords into the blocks up to the pivot's, forward chords
@@ -268,28 +222,12 @@ def _kinds(p: PathForm) -> Iterator[Tuple[str, Optional[Segment]]]:
         if 2 * count == twice and _held(rows, starts[k:], ends[: k + j]) and all(
             not far & ~rows[i] for i in cross
         ):
-            yield LEFT_RIGHT_SEGMENTED, pivot
-            return
+            return SegmentedForm(LEFT_RIGHT_SEGMENTED, pivot)
         k += j
-
-
-def matching_kinds(p: PathForm) -> dict:
-    """All segmented kinds whose mandated bicoloured set equals p.bic,
-    mapped to the pivot segment where one applies."""
-    return dict(_kinds(p))
-
-
-def segmented_form(p: PathForm) -> SegmentedForm:
-    """The segmented kind whose mandated bicoloured edge set equals p.bic,
-    with precedence TrivialPath, Right, Left, LeftRight; else NotSegmented.
-    The first kind that matches decides, so the LeftRight pivot loop runs
-    only when neither closure matches."""
-    return SegmentedForm(*next(_kinds(p), (NOT_SEGMENTED, None)))
+    return SegmentedForm(NOT_SEGMENTED)
 
 
 __all__ = [
-    "LEFT",
-    "RIGHT",
     "RIGHT_SEGMENTED",
     "LEFT_SEGMENTED",
     "LEFT_RIGHT_SEGMENTED",
@@ -302,7 +240,5 @@ __all__ = [
     "path_form",
     "cycle_form",
     "find_segments",
-    "segment_leaning",
-    "matching_kinds",
     "segmented_form",
 ]

@@ -440,17 +440,14 @@ def _by_sides(inst: Instance, o: Ordering, table: tuple, finish: _Finish) -> Opt
 
 
 _H1 = targets.build_h1()
-# Places 0-5 of H1: white's ground, long and short value, then black's: 0, 2, 5, 3, 1, 4.
-_H1_ORDERING = ordering_for_cycle_target(targets.H1)
-_H1_TABLE = _rank_rows(_H1, _H1_ORDERING)
 
 
 def solve_h1(inst: Instance) -> Optional[Solution]:
     """Region decomposition against the canonical 6-vertex unbalanced cycle
     target: side assignment, arc consistency, boundary grounding on {b, w},
     and one parity walk per component tying region choices to boundary
-    switchings. It is solve's H1 route with the target's own ordering."""
-    return _solve_via_h1(_H1, inst, _H1_ORDERING, _H1_TABLE)
+    switchings. It is solve's H1 route on that target."""
+    return solve(_H1, inst, "h1")
 
 
 def _solve_h1_component(
@@ -608,13 +605,15 @@ def check_solution(inst: Instance, h: SignedGraph, sol: Solution) -> List[str]:
 
 def _solve_via_h1(target: SignedGraph, inst: Instance, o: Ordering, table: tuple) -> Optional[Solution]:
     """Solve against a target matching H1 as given, with o, the verdict's
-    ordering: _H1_ORDERING pulled back through the alignment, so the
-    target's places are H1's, and table, its _rank_rows. One walk rooted at
+    ordering: H1's pulled back through the alignment, so the target's
+    places are H1's, and table, its _rank_rows. One walk rooted at
     order[0], over unicoloured edges against H1's colours at the same
     places, gives the switching s the equivalence search finds; every
     vertex whose image is in s flips."""
     order, place, _, _ = table
-    h1 = _H1_ORDERING.white_order + _H1_ORDERING.black_order
+    # Places 0-5 of H1: white's ground, long and short value, then black's: 0, 2, 5, 3, 1, 4.
+    h1o = ordering_for_cycle_target(targets.H1)
+    h1 = h1o.white_order + h1o.black_order
     s = _switching(target, (
         (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
         for u, v, c in target.edges if c is not BICOLOURED

@@ -38,19 +38,18 @@ from sephom.ordering import (
 )
 from sephom.separable import (
     CycleForm,
-    LEFT,
     LEFT_RIGHT_SEGMENTED,
     LEFT_SEGMENTED,
-    RIGHT,
     RIGHT_SEGMENTED,
     TRIVIAL_PATH,
     PathForm,
+    _chord_rows,
     find_segments,
 )
 from sephom.sgcore import _bits, _parity_lists, _parity_walk, _switching, bipartition, is_semi_balanced
+from sephom.targets import H1
 from sephom.solver import (
     _H1,
-    _H1_ORDERING,
     Instance,
     Solution,
     _components,
@@ -551,11 +550,14 @@ def _ref_uni_adjacency(g):
     return adj
 
 
-def _ref_bic_positions(g, order):
+def chord_pairs(f):
+    """f's chords as position pairs (a, b) with a < b, read off its rows."""
+    return frozenset((a, b) for a, r in enumerate(f.rows) for b in _bits(r) if a < b)
+
+
+def _ref_chord_rows(g, order):
     pos = {v: i for i, v in enumerate(order)}
-    return frozenset(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.bicoloured_edges()
-    )
+    return _chord_rows(range(len(order)), ((pos[u], pos[v]) for u, v in g.bicoloured_edges()))
 
 
 def _ref_trace(uni, first):
@@ -580,14 +582,14 @@ def ref_path_form(g):
     if sum(len(a) for a in uni) != 2 * (g.n - 1):
         return None
     if g.n == 1:
-        return PathForm((0,), _ref_bic_positions(g, (0,)))
+        return PathForm((0,), _ref_chord_rows(g, (0,)))
     ends = [v for v in range(g.n) if len(uni[v]) == 1]
     if len(ends) != 2 or any(len(a) > 2 for a in uni):
         return None
     order = _ref_trace(uni, min(ends))
     if len(order) != g.n:
         return None
-    return PathForm(order, _ref_bic_positions(g, order))
+    return PathForm(order, _ref_chord_rows(g, order))
 
 
 def ref_cycle_form(g):
@@ -604,7 +606,7 @@ def ref_cycle_form(g):
     bit = 0
     for i, u in enumerate(order):
         bit ^= g.colour(u, order[(i + 1) % g.n]) is RED
-    return CycleForm(order, "-" if bit else "+", _ref_bic_positions(g, order))
+    return CycleForm(order, "-" if bit else "+", _ref_chord_rows(g, order))
 
 
 def _ref_chord_degrees(bic, n):
@@ -622,8 +624,7 @@ def ref_align(c, t):
     agree. The full scan: every rotation and reflection that passes the
     chord-degree filter is checked chord by chord."""
     n = len(c.order)
-    # bic is built on each read, so each is read once.
-    cbic, tbic = c.bic, t.bic
+    cbic, tbic = chord_pairs(c), chord_pairs(t)
     if (n, c.cycle_sign, len(cbic)) != (len(t.order), t.cycle_sign, len(tbic)):
         return None
     deg = _ref_chord_degrees(cbic, n)
@@ -670,38 +671,20 @@ def ref_components(g, vertices=None):
 
 
 def _ref_forward_closure(s, n):
-    return {(f, t) for f in s.forward_sources() for t in range(f + 3, n, 2)}
+    """Every chord from a block start of s forwards to f + 3, f + 5, ..."""
+    return {(f, t) for f in range(s.start, s.end - 2, 2) for t in range(f + 3, n, 2)}
 
 
 def _ref_backward_closure(s):
-    return {(t, h) for h in s.backward_sources() for t in range(h - 3, -1, -2)}
-
-
-def ref_leaning(p, s):
-    """Leaning labels of segment s, edge by edge from its sources."""
-    n = len(p.order)
-    bic = p.bic  # built on each read
-    labels = set()
-    if all(
-        (f, t) in bic
-        for f in s.forward_sources()
-        for t in range(f + 3, n, 2)
-    ):
-        labels.add(RIGHT)
-    if all(
-        (t, h) in bic
-        for h in s.backward_sources()
-        for t in range(h - 3, -1, -2)
-    ):
-        labels.add(LEFT)
-    return frozenset(labels)
+    """Every chord into a block end of s from h - 3, h - 5, ..."""
+    return {(t, h) for h in range(s.start + 3, s.end + 1, 2) for t in range(h - 3, -1, -2)}
 
 
 def ref_matching_kinds(p):
-    """Segmented kinds matching p.bic, with every mandated set built as a
-    union of per-segment closures."""
+    """Segmented kinds matching p's chords, with every mandated set built as
+    a union of per-segment closures."""
     n = len(p.order)
-    bic = p.bic  # built on each read
+    bic = chord_pairs(p)
     found = {}
     if not bic:
         found[TRIVIAL_PATH] = None
@@ -1145,7 +1128,8 @@ def ref_solve_via_h1(target, inst, o):
     target that matches H1, finished by _ref_h1_component."""
     table = _rank_rows(target, o)
     order, place, _, _ = table
-    h1 = _H1_ORDERING.white_order + _H1_ORDERING.black_order
+    h1o = ordering_for_cycle_target(H1)
+    h1 = h1o.white_order + h1o.black_order
     s = _switching(target, (
         (u, v, c is not _H1.colour(h1[place[u]], h1[place[v]]))
         for u, v, c in target.edges if c is not BICOLOURED
@@ -1208,7 +1192,7 @@ def random_segmented_path(rng, n):
     while i + 3 < n:
         starts.append(i)
         i += rng.choice((2, 2, 3, 4, 5))
-    segments = find_segments(PathForm(tuple(range(n)), frozenset((i, i + 3) for i in starts)))
+    segments = find_segments(PathForm(tuple(range(n)), _chord_rows(range(n), [(i, i + 3) for i in starts])))
     layout = rng.choice((RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED))
     pivot = rng.choice(segments) if segments else None
     bic = set()
@@ -1425,7 +1409,7 @@ def ref_form(g):
     bicoloured pairs."""
     n = g.n
     if n < 2:
-        return PathForm((0,), frozenset()) if n else None
+        return PathForm((0,), (0,)) if n else None
     uni: List[List[int]] = [[] for _ in range(n)]
     red = 0
     pairs = []
@@ -1448,8 +1432,8 @@ def ref_form(g):
         a, b = pos[u], pos[v]
         bic.add((a, b) if a < b else (b, a))
     if ends:
-        return PathForm(order, frozenset(bic))
-    return CycleForm(order, "-" if red else "+", frozenset(bic))
+        return PathForm(order, _chord_rows(range(n), bic))
+    return CycleForm(order, "-" if red else "+", _chord_rows(range(n), bic))
 
 
 def _ref_masks(n, edges):

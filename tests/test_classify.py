@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_special_min_ordering,
+    chord_pairs,
     quick_disguise,
     random_path_target,
     random_relabel,
@@ -415,7 +416,7 @@ def _chord_moves(t):
     places along the cycle, either way, onto a pair that is no chord: the
     chord count and parity stay."""
     n = len(t.order)
-    bic = t.bic
+    bic = chord_pairs(t)
     for a, b in sorted(bic):
         for end in (0, 1):
             for d in (2, -2):
@@ -427,7 +428,7 @@ def _chord_moves(t):
 
 def _near_misses(t):
     """t's chords with one of them moved (see _chord_moves)."""
-    bic = t.bic
+    bic = chord_pairs(t)
     for old, new in _chord_moves(t):
         yield (bic - {old}) | {new}
 
@@ -442,9 +443,9 @@ def test_alignment_matches_the_full_scan():
             t = template_cycle_form(kind, ell)
             forms += [cycle_form(quick_disguise(rng, _ring(t, bic))) for bic in _near_misses(t)]
     compared = matched = 0
-    shapes = [(len(t.order), t.cycle_sign, len(t.bic)) for t in map(template_cycle_form, *zip(*TEMPLATES))]
+    shapes = [(len(t.order), t.cycle_sign, len(chord_pairs(t))) for t in map(template_cycle_form, *zip(*TEMPLATES))]
     for c in forms:
-        shape = (len(c.order), c.cycle_sign, len(c.bic))
+        shape = (len(c.order), c.cycle_sign, len(chord_pairs(c)))
         for (kind, ell), same in zip(TEMPLATES, shapes):
             if shape != same:
                 continue
@@ -461,11 +462,12 @@ def test_self_alignments_are_the_template_symmetries():
     for kind, ell in TEMPLATES:
         t = template_cycle_form(kind, ell)
         n = len(t.order)
+        bic = chord_pairs(t)
         brute = set()
         for s in range(n):
             for step in (1, -1):
                 img = [(s + step * i) % n for i in range(n)]
-                if {tuple(sorted((img[a], img[b]))) for a, b in t.bic} == t.bic:
+                if {tuple(sorted((img[a], img[b]))) for a, b in bic} == bic:
                     brute.add(tuple(t.order[i] for i in img))
         selves = _template(kind, ell)[2]
         assert selves[0] == t.order
@@ -515,7 +517,8 @@ def test_warm_and_cold_template_tables_agree():
 def _moved_chords(rng, t, count):
     """count random near misses of t (see _near_misses), or all it has."""
     moves = list(_chord_moves(t))
-    return [(t.bic - {old}) | {new} for old, new in rng.sample(moves, min(count, len(moves)))]
+    bic = chord_pairs(t)
+    return [(bic - {old}) | {new} for old, new in rng.sample(moves, min(count, len(moves)))]
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,18 +2,18 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    chord_pairs,
     form_edge_case_st,
     form_sweep,
+    random_cycle_target,
     random_path_target,
     random_segmented_path,
     random_switching,
     ref_form,
-    ref_leaning,
     ref_matching_kinds,
     spine_graph_st,
 )
@@ -33,21 +33,18 @@ from sephom import (
 )
 from sephom import separable
 from sephom.separable import (
-    LEFT,
     LEFT_RIGHT_SEGMENTED,
     LEFT_SEGMENTED,
     NOT_SEGMENTED,
-    RIGHT,
     RIGHT_SEGMENTED,
     TRIVIAL_PATH,
     PathForm,
     Segment,
     SegmentedForm,
+    _chord_rows,
     cycle_form,
     find_segments,
-    matching_kinds,
     path_form,
-    segment_leaning,
     segmented_form,
 )
 
@@ -89,19 +86,20 @@ def test_path_form_bic_as_positions():
     g = SignedGraph(4, [(0, 2, BLUE), (0, 1, RED), (1, 3, BLUE), (2, 3, BICOLOURED)])
     pf = path_form(g)
     assert pf.order == (2, 0, 1, 3)
-    assert pf.bic == frozenset({(0, 3)})
+    assert pf.rows == (0b1000, 0, 0, 0b0001)
+    assert chord_pairs(pf) == {(0, 3)}
 
 
 def test_cycle_form_examples():
     cf = cycle_form(build_h0())
-    assert (cf.order, cf.cycle_sign, cf.bic) == ((0, 1, 2, 3), "+", frozenset())
+    assert (cf.order, cf.cycle_sign, cf.rows) == ((0, 1, 2, 3), "+", (0, 0, 0, 0))
     cf = cycle_form(build_h1())
     assert cf.order == (0, 1, 2, 3, 5, 4)
     assert cf.cycle_sign == "-"
-    assert cf.bic == frozenset({(0, 3)})
+    assert chord_pairs(cf) == {(0, 3)}
     cf = cycle_form(build_hl(5))
     assert cf.cycle_sign == "+"
-    assert cf.bic == frozenset(template_pairs(5))
+    assert chord_pairs(cf) == set(template_pairs(5))
     assert cycle_form(build_reduction_target(5)).cycle_sign == "-"
     tri = SignedGraph(3, [(0, 1, BLUE), (1, 2, BLUE), (0, 2, RED)])
     assert cycle_form(tri).cycle_sign == "-"
@@ -120,40 +118,27 @@ def test_cycle_form_rejects_non_cycles():
 def test_segment_geometry():
     s = Segment(4, 2)
     assert s.end == 9
-    assert s.forward_sources() == [4, 6]
-    assert s.backward_sources() == [7, 9]
 
 
 def test_find_segments_single_run():
     pf = path_form(blue_path(6, [(0, 3), (2, 5)]))
     segs = find_segments(pf)
     assert [(s.start, s.j) for s in segs] == [(0, 2)]
-    assert segment_leaning(pf, segs[0]) == frozenset()
 
 
 def test_find_segments_fig_example():
     pf = path_form(blue_path(20, FIG_BIC))
     segs = find_segments(pf)
     assert [(s.start, s.j) for s in segs] == [(4, 2), (11, 1), (14, 2)]
-    assert [sorted(segment_leaning(pf, s)) for s in segs] == [
-        [LEFT],
-        [LEFT, RIGHT],
-        [RIGHT],
-    ]
-
-
-def test_segment_leaning_rejects_foreign_segments():
-    pf = path_form(blue_path(6, [(0, 3), (2, 5), (0, 5)]))
-    with pytest.raises(ValueError, match="not a segment"):
-        segment_leaning(pf, Segment(1, 1))
 
 
 def test_matching_kinds_and_precedence():
+    # The path matches Right, Left and LeftRight at once; Right decides.
     pf = path_form(blue_path(6, [(0, 3), (2, 5), (0, 5)]))
-    kinds = matching_kinds(pf)
+    kinds = ref_matching_kinds(pf)
     assert set(kinds) == {RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED}
     assert kinds[LEFT_RIGHT_SEGMENTED] == Segment(0, 2)
-    assert segment_leaning(pf, Segment(0, 2)) == {LEFT, RIGHT}
+    assert segmented_form(pf) == _precedence_pick(kinds)
     assert segmented_form(pf).kind == RIGHT_SEGMENTED
 
 
@@ -162,7 +147,7 @@ def test_a_matching_closure_decides_without_reading_the_segments(monkeypatch):
         raise AssertionError("find_segments called")
 
     right = path_form(blue_path(8, [(0, 3), (0, 5), (0, 7)]))
-    left = PathForm(right.order, frozenset((7 - b, 7 - a) for a, b in right.bic))
+    left = PathForm(right.order, _chord_rows(range(8), ((7 - b, 7 - a) for a, b in chord_pairs(right))))
     monkeypatch.setattr(separable, "find_segments", forbidden)
     assert segmented_form(right) == SegmentedForm(RIGHT_SEGMENTED)
     assert segmented_form(left) == SegmentedForm(LEFT_SEGMENTED)
@@ -170,13 +155,13 @@ def test_a_matching_closure_decides_without_reading_the_segments(monkeypatch):
 
 def test_mandated_set_must_match_exactly():
     pf = path_form(blue_path(6, [(0, 3), (2, 5)]))
-    assert matching_kinds(pf) == {}
+    assert segmented_form(pf) == _precedence_pick(ref_matching_kinds(pf))
     assert segmented_form(pf).kind == NOT_SEGMENTED
 
 
 def test_adjacent_blocks_are_never_segmented():
     pf = path_form(blue_path(6, [(0, 3), (1, 4)]))
-    assert matching_kinds(pf) == {}
+    assert segmented_form(pf) == _precedence_pick(ref_matching_kinds(pf))
     assert segmented_form(pf).kind == NOT_SEGMENTED
 
 
@@ -203,10 +188,11 @@ def test_reflection_mirrors_the_matching_kinds():
     bic = [(0, 3), (0, 5), (0, 7), (2, 5), (2, 7), (4, 7)]
     for n, pairs in ((8, bic), (20, FIG_BIC)):
         g = blue_path(n, pairs)
-        mirrored = relabel(g, [n - 1 - i for i in range(n)])
-        kinds = set(matching_kinds(path_form(g)))
-        mirror_kinds = set(matching_kinds(path_form(mirrored)))
-        assert mirror_kinds == {swap.get(k, k) for k in kinds}
+        pf, mirror = path_form(g), path_form(relabel(g, [n - 1 - i for i in range(n)]))
+        kinds, mirror_kinds = ref_matching_kinds(pf), ref_matching_kinds(mirror)
+        assert set(mirror_kinds) == {swap.get(k, k) for k in kinds}
+        assert segmented_form(pf) == _precedence_pick(kinds)
+        assert segmented_form(mirror) == _precedence_pick(mirror_kinds)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -237,16 +223,13 @@ def test_segment_runs_tile_the_block_starts(seed):
     rng = random.Random(seed)
     g = random_path_target(rng, rng.randint(4, 12), p_chord=0.3)
     pf = path_form(g)
-    starts = {i for i, j in pf.bic if j == i + 3}
+    starts = {i for i, j in chord_pairs(pf) if j == i + 3}
     covered = set()
     for s in find_segments(pf):
         run = set(range(s.start, s.start + 2 * s.j, 2))
         assert run <= starts
         covered |= run
     assert covered == starts
-    segs = find_segments(pf)
-    assert set().union(*(s.forward_sources() for s in segs)) == starts
-    assert set().union(*(s.backward_sources() for s in segs)) == {i + 3 for i in starts}
 
 
 def _precedence_pick(kinds):
@@ -264,19 +247,23 @@ def test_block_closures_match_the_segment_closures():
     for g in enum_targets("path", 10):
         reversed_g = relabel(g, [g.n - 1 - v for v in range(g.n)])
         for pf in (path_form(g), path_form(reversed_g)):
-            ref = ref_matching_kinds(pf)
-            assert matching_kinds(pf) == ref
-            for s in find_segments(pf):
-                assert segment_leaning(pf, s) == ref_leaning(pf, s)
             form = segmented_form(pf)
-            assert form == _precedence_pick(ref)
+            assert form == _precedence_pick(ref_matching_kinds(pf))
             kinds.add(form.kind)
     assert len(kinds) == 5
 
 
+def _mirror(f):
+    """f with its positions reversed, i -> n - 1 - i."""
+    n = len(f.order)
+    return PathForm(f.order[::-1], _chord_rows(range(n), ((n - 1 - b, n - 1 - a) for a, b in chord_pairs(f))))
+
+
 def test_row_kinds_match_the_segment_closures_up_to_128_vertices():
     # Seeded segmented paths, each also with one chord dropped, and random
-    # paths of three chord densities, at n = 11, 20, ..., 128.
+    # paths of three chord densities, at n = 11, 20, ..., 128. Each form
+    # also runs mirrored, which swaps Right and Left, so both closures get
+    # to decide the segmented form first.
     rng = random.Random(37)
     kinds = set()
     compared = 0
@@ -286,17 +273,14 @@ def test_row_kinds_match_the_segment_closures_up_to_128_vertices():
         for g in graphs:
             pf = path_form(g)
             forms = [pf]
-            if pf.bic:
-                forms.append(PathForm(pf.order, pf.bic - {rng.choice(sorted(pf.bic))}))
-            for f in forms:
-                ref = ref_matching_kinds(f)
-                assert matching_kinds(f) == ref
-                assert segmented_form(f) == _precedence_pick(ref)
-                for s in find_segments(f):
-                    assert segment_leaning(f, s) == ref_leaning(f, s)
+            bic = chord_pairs(pf)
+            if bic:
+                forms.append(PathForm(pf.order, _chord_rows(range(n), bic - {rng.choice(sorted(bic))})))
+            for f in forms + [_mirror(f) for f in forms]:
+                assert segmented_form(f) == _precedence_pick(ref_matching_kinds(f))
                 kinds.add(segmented_form(f).kind)
                 compared += 1
-    assert compared > 60 and kinds == {RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED, NOT_SEGMENTED}
+    assert compared > 120 and kinds == {RIGHT_SEGMENTED, LEFT_SEGMENTED, LEFT_RIGHT_SEGMENTED, NOT_SEGMENTED}
 
 
 def _red_keys(g):
@@ -304,7 +288,7 @@ def _red_keys(g):
 
 
 def test_forms_match_the_two_pass_reference_on_the_sweep():
-    # Equality compares the class, order, sign and bic; the red steps,
+    # Equality compares the class, order, sign and rows; the red steps,
     # which take no part in it, must be the red edges a form spans.
     for seed in (3, 4):
         count = 0
@@ -324,3 +308,21 @@ def test_forms_match_the_two_pass_reference_at_the_edges(g):
     if f is not None:
         assert f.red == _red_keys(g)
         assert repr(f) == repr(ref_form(g))
+
+
+def test_forms_are_equal_under_switching():
+    # Switching moves the red edges, which take no part in equality or the
+    # hash, and leaves the order, sign and chord rows as they are.
+    rng = random.Random(41)
+    red_moved = 0
+    for k in range(200):
+        n = rng.randint(4, 40)
+        if k % 2:
+            form, g = path_form, random_path_target(rng, n, 0.2)
+        else:
+            form, g = cycle_form, random_cycle_target(rng, n + n % 2, 0.2)
+        g = apply_switching(g, random_switching(rng, g.n))
+        f, h = form(g), form(apply_switching(g, random_switching(rng, g.n)))
+        assert f is not None and h == f and hash(h) == hash(f)
+        red_moved += h.red != f.red
+    assert red_moved > 150

@@ -962,7 +962,7 @@ def test_h1_route_reads_the_equivalence_off_the_verdict(seed):
     phi, s = switching_equivalent(target, build_h1())
     # The verdict's ordering puts at each place the vertex phi sends to
     # H1's vertex at that place, so the route runs over H1's places.
-    o, h1 = classify(target).ordering, solver._H1_ORDERING
+    o, h1 = classify(target).ordering, ordering_for_cycle_target(targets.H1)
     places = o.white_order + o.black_order
     assert tuple(phi[v] for v in places) == h1.white_order + h1.black_order
     lifted = solve_h1(Instance(inst.g, [[phi[a] for a in l] for l in inst.lists]))
