@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -232,6 +233,10 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # The process ends with the verb, so the cyclic collector would only walk,
+    # again and again, the containers that a large parse and solve keep until
+    # then. run() and the library leave the caller's collector as it is.
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

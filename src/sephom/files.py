@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, NoReturn, Optional, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 
 from .sgcore import EdgeColour, SignedGraph
 
 COLOUR_SYMBOLS = {c.value: c for c in EdgeColour}
+# The size in characters of the pieces _read splits a text into.
+_PIECE = 1 << 16
 
 
 class ParseError(ValueError):
@@ -48,6 +50,17 @@ def _int_token(line: Tuple[int, str, List[str]], k: int, what: str) -> int:
         raise _error(line, k, f"expected {what}, got {tok!r}") from None
 
 
+def _pieces(text: str) -> Iterator[str]:
+    """The text in pieces of about _PIECE characters, each ending just after
+    a '\n' (the last one at the text's end), so that no line, and no '\r\n',
+    spans two pieces."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _read(text: str, target_n: Optional[int]):
     """One pass over the lines of a graph text, or with target_n an instance
     text: the graph, the lists (None for a graph), and the first line that is
@@ -55,68 +68,89 @@ def _read(text: str, target_n: Optional[int]):
     they come, the header first and then each edge line; the line returned
     is reported after the graph is built, so a bad edge line anywhere, and
     then a vertex count too large to hold (MemoryError), come before it. No
-    list line is read after that line."""
+    list line is read after that line.
+
+    The lines are read a piece of the text at a time, so no list of all of
+    them is held. While each edge's key u * n + v rises, its record goes on
+    a list that becomes the graph's edges as it stands; at the first key
+    that does not rise, the records move to a map keyed by u * n + v, which
+    checks every later edge for a repeat and is sorted at the end."""
     n = None
-    keyed: Dict[int, EdgeColour] = {}
+    records: Optional[List[Tuple[int, int, EdgeColour]]] = []
+    last = -1
+    keyed: Optional[Dict[int, EdgeColour]] = None
     lists: Optional[List[Optional[frozenset]]] = None
     checked: Dict[Tuple[str, ...], frozenset] = {}
     bad = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if n is None:
-            head = (lineno, raw, tokens)
-            if tokens[0] != "sg":
-                raise _error(head, 0, "expected 'sg <n>' header")
-            if len(tokens) != 2:
-                raise _error(head, 0, "header takes exactly one count")
-            n = _int_token(head, 1, "a vertex count")
-            if n < 0:
-                raise _error(head, 1, "vertex count must be nonnegative")
-            if target_n is not None:
+    lineno = 0
+    for piece in _pieces(text):
+        # A piece is not empty, so it has a line, and lineno ends on its last.
+        for lineno, raw in enumerate(piece.splitlines(), lineno + 1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if n is None:
+                head = (lineno, raw, tokens)
+                if tokens[0] != "sg":
+                    raise _error(head, 0, "expected 'sg <n>' header")
+                if len(tokens) != 2:
+                    raise _error(head, 0, "header takes exactly one count")
+                n = _int_token(head, 1, "a vertex count")
+                if n < 0:
+                    raise _error(head, 1, "vertex count must be nonnegative")
+                if target_n is not None:
+                    try:
+                        lists = [None] * n
+                    except (MemoryError, OverflowError):
+                        pass  # the graph's count probe fails before any list line counts
+            elif tokens[0] == "e":
                 try:
-                    lists = [None] * n
-                except (MemoryError, OverflowError):
-                    pass  # the graph's count probe fails before any list line counts
-        elif tokens[0] == "e":
-            try:
-                _, a, b, sym = tokens
-                u = int(a)
-                v = int(b)
-                c = COLOUR_SYMBOLS[sym]
-            except (ValueError, KeyError):
-                _reject_edge((lineno, raw, tokens), n)
-            if u > v:
-                u, v = v, u
-            key = u * n + v
-            if not 0 <= u < v < n or key in keyed:
-                _reject_edge((lineno, raw, tokens), n)
-            keyed[key] = c
-        elif bad is None:
-            if lists is not None:
-                try:
-                    kind, head, *tail = tokens
-                    v = int(head)
-                    rest = tuple(tail)
-                    values = checked.get(rest)
-                    if values is None:
-                        values = frozenset(map(int, tail))
-                        if values and (min(values) < 0 or max(values) >= target_n):
-                            values = None
-                        else:
-                            checked[rest] = values
-                except ValueError:
-                    values = None
-                if values is not None and kind == "l" and 0 <= v < n and lists[v] is None:
-                    lists[v] = values
-                    continue
-            bad = (lineno, raw, tokens)
+                    _, a, b, sym = tokens
+                    u = int(a)
+                    v = int(b)
+                    c = COLOUR_SYMBOLS[sym]
+                except (ValueError, KeyError):
+                    _reject_edge((lineno, raw, tokens), n)
+                if u > v:
+                    u, v = v, u
+                if not 0 <= u < v < n:
+                    _reject_edge((lineno, raw, tokens), n)
+                key = u * n + v
+                if keyed is None:
+                    if key > last:
+                        records.append((u, v, c))
+                        last = key
+                        continue
+                    keyed = {r[0] * n + r[1]: r[2] for r in records}
+                    records = None
+                if key in keyed:
+                    _reject_edge((lineno, raw, tokens), n)
+                keyed[key] = c
+            elif bad is None:
+                if lists is not None:
+                    try:
+                        kind, head, *tail = tokens
+                        v = int(head)
+                        rest = tuple(tail)
+                        values = checked.get(rest)
+                        if values is None:
+                            values = frozenset(map(int, tail))
+                            if values and (min(values) < 0 or max(values) >= target_n):
+                                values = None
+                            else:
+                                checked[rest] = values
+                    except ValueError:
+                        values = None
+                    if values is not None and kind == "l" and 0 <= v < n and lists[v] is None:
+                        lists[v] = values
+                        continue
+                bad = (lineno, raw, tokens)
     if n is None:
         raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
-    return SignedGraph._checked(n, keyed), lists, bad
+    g = SignedGraph._trusted(n, tuple(records)) if keyed is None else SignedGraph._checked(n, keyed)
+    return g, lists, bad
 
 
 def _reject_edge(line: Tuple[int, str, List[str]], n: int) -> NoReturn:

@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 from collections import deque
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from sephom import (
     enum_targets,
     relabel,
 )
-from sephom.files import COLOUR_SYMBOLS, ParseError
+from sephom.files import COLOUR_SYMBOLS, ParseError, _error, _int_token, _reject_edge
 from sephom.hardness import QuadCsp, build_gadget
 from sephom.ordering import (
     Ordering,
@@ -46,7 +46,7 @@ from sephom.separable import (
     _chord_rows,
     find_segments,
 )
-from sephom.sgcore import _bits, _parity_lists, _parity_walk, _switching, bipartition, is_semi_balanced
+from sephom.sgcore import EdgeColour, _bits, _parity_lists, _parity_walk, _switching, bipartition, is_semi_balanced
 from sephom.targets import H1
 from sephom.solver import (
     _H1,
@@ -839,6 +839,80 @@ def ref_parse_quadcsp(text):
         else:
             raise ParseError(lineno, col, f"unexpected directive {kind!r}")
     return QuadCsp(tuple(names), tuple(quads))
+
+
+# files._read as it was before it read the text a piece at a time and kept
+# rising edge records in a list: every edge goes through a colour map that
+# is sorted at the end, and the list of all the text's lines is held.
+def ref_read(text: str, target_n: Optional[int]):
+    """One pass over the lines of a graph text, or with target_n an instance
+    text: the graph, the lists (None for a graph), and the first line that is
+    neither an edge line nor a good list line, or None. Lines are checked as
+    they come, the header first and then each edge line; the line returned
+    is reported after the graph is built, so a bad edge line anywhere, and
+    then a vertex count too large to hold (MemoryError), come before it. No
+    list line is read after that line."""
+    n = None
+    keyed: Dict[int, EdgeColour] = {}
+    lists: Optional[List[Optional[frozenset]]] = None
+    checked: Dict[Tuple[str, ...], frozenset] = {}
+    bad = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if n is None:
+            head = (lineno, raw, tokens)
+            if tokens[0] != "sg":
+                raise _error(head, 0, "expected 'sg <n>' header")
+            if len(tokens) != 2:
+                raise _error(head, 0, "header takes exactly one count")
+            n = _int_token(head, 1, "a vertex count")
+            if n < 0:
+                raise _error(head, 1, "vertex count must be nonnegative")
+            if target_n is not None:
+                try:
+                    lists = [None] * n
+                except (MemoryError, OverflowError):
+                    pass  # the graph's count probe fails before any list line counts
+        elif tokens[0] == "e":
+            try:
+                _, a, b, sym = tokens
+                u = int(a)
+                v = int(b)
+                c = COLOUR_SYMBOLS[sym]
+            except (ValueError, KeyError):
+                _reject_edge((lineno, raw, tokens), n)
+            if u > v:
+                u, v = v, u
+            key = u * n + v
+            if not 0 <= u < v < n or key in keyed:
+                _reject_edge((lineno, raw, tokens), n)
+            keyed[key] = c
+        elif bad is None:
+            if lists is not None:
+                try:
+                    kind, head, *tail = tokens
+                    v = int(head)
+                    rest = tuple(tail)
+                    values = checked.get(rest)
+                    if values is None:
+                        values = frozenset(map(int, tail))
+                        if values and (min(values) < 0 or max(values) >= target_n):
+                            values = None
+                        else:
+                            checked[rest] = values
+                except ValueError:
+                    values = None
+                if values is not None and kind == "l" and 0 <= v < n and lists[v] is None:
+                    lists[v] = values
+                    continue
+            bad = (lineno, raw, tokens)
+    if n is None:
+        raise ParseError(1, 1, "empty input, expected 'sg <n>' header")
+    return SignedGraph._checked(n, keyed), lists, bad
 
 
 def brute_gf2(variables, equations):

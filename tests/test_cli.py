@@ -1,5 +1,6 @@
 """The command-line verbs, their exit codes, and the target enumerator."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from sephom import (
     verdict_dict,
 )
 from sephom import hardness
-from sephom.cli import _canonical, run
+from sephom.cli import _canonical, main, run
 from sephom.files import parse_instance, serialize_graph, serialize_instance
 from sephom.solver import Instance, Solution, check_solution
 from sephom.sgcore import BICOLOURED, Switching, _bits
@@ -462,6 +463,26 @@ def test_the_module_entry_point_exits_with_the_verdict(tmp_path):
         )
         assert done.returncode == code
         assert shown in (done.stderr if code == 2 else done.stdout)
+
+
+def test_only_main_turns_the_cyclic_collector_off(tmp_path, capsys, monkeypatch):
+    path = target_file(tmp_path, build_hl(5))
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            assert run(["classify", path]) == 0
+            assert gc.isenabled() is on
+            assert payload(capsys)["reason"] == "MatchesHl(5)"
+        gc.enable()
+        monkeypatch.setattr(sys, "argv", ["sephom", "classify", path])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable() if enabled else gc.disable()
+    assert payload(capsys)["reason"] == "MatchesHl(5)"
 
 
 def test_a_reader_that_has_gone_is_no_error(tmp_path):

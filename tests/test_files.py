@@ -13,12 +13,15 @@ from helpers import (
     ref_parse_graph,
     ref_parse_instance,
     ref_parse_quadcsp,
+    ref_read,
     signed_graph_st,
     took,
 )
 from sephom import build_h1, build_hl
 from sephom.files import (
+    _PIECE,
     ParseError,
+    _read,
     parse_graph,
     parse_instance,
     parse_quadcsp,
@@ -179,6 +182,21 @@ def test_parse_instance_peaks_under_twice_the_instance_it_returns():
     assert peak <= 2 * size, (peak, size)
 
 
+def test_parse_instance_peaks_under_1_3_times_the_instance_it_returns():
+    # Bytes, not time: a parser that held the list of all the text's lines
+    # and a map of every edge peaked at about 1.5 times the instance here.
+    h = build_hl(5)
+    text = planted_path_text(random.Random(3), h, 20_000)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text, h.n)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.g.n == 20_000 and len(inst.g.edges) == 19_999
+    assert peak <= 1.3 * size, (peak, size)
+
+
 def test_parse_instance_builds_no_colour_map():
     # Bytes, not time: the colour map is built on its first read, so reading
     # it after the parse adds a large share of the instance's own size.
@@ -327,3 +345,78 @@ def test_parsers_match_the_references_on_large_scrambled_texts(n, p_edge):
             parse(bad, *args)
         assert _outcome(parse, bad, *args) == _outcome(ref, bad, *args)
         assert (e.value.line, e.value.col) == (len(lines) + 1, 3)
+
+
+def _read_outcome(read, text, target_n):
+    try:
+        g, lists, bad = read(text, target_n)
+    except (ParseError, MemoryError) as e:
+        return (type(e), str(e))
+    return (g.n, g.edges, lists, bad)
+
+
+def _edge_lines(rng, n, tail):
+    """Edge lines of a random graph on n vertices in key order, with about
+    every third pair swapped; with tail, the lines after a random point are
+    shuffled and some edges come again, before and after that point."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    lines = ["e %d %d %s" % (((v, u) if rng.random() < 0.3 else (u, v)) + (rng.choice("+-*"),))
+             for u, v in pairs]
+    if tail and lines:
+        cut = rng.randrange(len(lines))
+        rest = lines[cut:]
+        rng.shuffle(rest)
+        lines[cut:] = rest
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(lines) + 1)
+            lines.insert(at, "e %d %d %s" % (pairs[rng.randrange(len(pairs))] + (rng.choice("+-*"),)))
+    return lines
+
+
+def test_read_matches_the_colour_map_reference():
+    """_read against the parser that filed every edge in a colour map and
+    held the list of all the text's lines: the graph, the lists and the bad
+    line, or the exception's type and message, on each text."""
+    rng = random.Random(11)
+    texts = []
+    for _ in range(300):
+        n = rng.randrange(2, 12)
+        lines = ["sg %d" % n] + _edge_lines(rng, n, tail=rng.random() < 0.6)
+        lines += ["l %d %d %d" % (rng.randrange(n), rng.randrange(4), rng.randrange(4))
+                  for _ in range(rng.randrange(4))]
+        if rng.random() < 0.5:
+            lines[1:] = rng.sample(lines[1:], len(lines) - 1)
+        for _ in range(rng.randrange(4)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "  ", "# e 0 0 +", "\t# c")))
+        breaks = rng.choice((("\n",), ("\r\n",), ("\n", "\r\n", "\r", "\x0b")))
+        texts.append("".join(line + rng.choice(breaks) for line in lines))
+    # A duplicate after the first key that does not rise, and one before it.
+    texts += ["sg 4\ne 0 1 +\ne 0 2 -\ne 1 3 *\ne 0 3 +\ne 2 0 -\n",
+              "sg 4\ne 0 1 +\ne 1 0 -\ne 0 3 +\ne 0 2 +\n"]
+    # Every error kind, and each line that _read hands back unread.
+    texts += ["", "# only\n\n", "e 0 1 +\n", "sg\n", "sg 1 2\n", "sg x\n", "sg -1\n",
+              "sg 3\ne 0 1\n", "sg 3\ne x 1 +\n", "sg 3\ne 0 x +\n", "sg 3\ne 0 1 ?\n",
+              "sg 3\ne 5 1 +\n", "sg 3\ne 1 5 +\n", "sg 3\ne 1 1 +\n", "sg 3\ne 0 1 +\ne 0 1 -\n",
+              "sg 3\ne 0 2 +\ne 0 1 +\ne 2 0 *\n", "sg 3\nz 1\ne 0 1 +\n", "sg 3\nl 0 9\nl 1 x\n",
+              "sg 3\nl 0 1\nl 0 2\n", "sg 3\nl 4 1\n", "sg 3\nl\n", "sg %d\nl 0 1\n" % 2**64,
+              "sg %d\ne 1 0 +\nz\n" % 2**62, "sg %d\nz\ne 1 1 +\n" % 2**64]
+    # Texts over one piece long, whose first piece ends on a '\r\n' or a
+    # blank line, with edge lines on both sides and bad lines after it.
+    n = 300
+    edges = _edge_lines(random.Random(3), n, tail=False)
+    for seq in ("\r\n", "\r\n\r\n", "\n\n", "\n\r\n\n", "\r\r\n"):
+        for shift in range(-3, 4):
+            head = "sg %d\r\n%s\r\n# " % (n, "\r\n".join(edges[:50]))
+            pad = "x" * (_PIECE + shift - len(head))
+            tail = "\n".join(edges[50:] + ["e 0 1 -", "l 3 1 2", "q"]) + "\n"
+            texts.append(head + pad + seq + tail)
+    # Many pieces of edge lines, in key order, then past a falling key.
+    big = _edge_lines(random.Random(5), 300, tail=False)
+    texts.append("sg 300\n" + "\r\n".join(big) + "\r\n")
+    texts.append("sg 300\n" + "\n".join(big + [big[0].replace("+", "-"), big[-1]]) + "\n")
+    texts.append("sg 300\n" + "\n".join(big[len(big) // 2:] + big[:len(big) // 2]) + "\n")
+    assert sum(len(t) > 2 * _PIECE for t in texts) >= 3
+    for text in texts:
+        for target_n in (None, 4):
+            found = _read_outcome(_read, text, target_n)
+            assert found == _read_outcome(ref_read, text, target_n), text[:200]
